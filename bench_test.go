@@ -212,7 +212,7 @@ func BenchmarkAblationStaticDominatorsOnly(b *testing.B) {
 //
 // The Run path with a nil tracer and no deadline must cost the same as
 // the legacy Check (which is now a wrapper over it): observability that
-// is off must be free. BenchmarkRunTraced measures the StatsTracer tax.
+// is off must be free. BenchmarkRunObsTracer measures the obs.Tracer tax.
 
 func benchRun(b *testing.B, req core.Request) {
 	c := gen.Hrapcenko(10)
@@ -230,8 +230,8 @@ func benchRun(b *testing.B, req core.Request) {
 
 func BenchmarkRunNilTracer(b *testing.B) { benchRun(b, core.Request{}) }
 
-func BenchmarkRunStatsTracer(b *testing.B) {
-	benchRun(b, core.Request{Tracer: new(core.StatsTracer)})
+func BenchmarkRunObsTracer(b *testing.B) {
+	benchRun(b, core.Request{Tracer: obs.NewTracer()})
 }
 
 func BenchmarkRunWithDeadline(b *testing.B) {

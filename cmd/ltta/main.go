@@ -33,8 +33,8 @@
 //	              pipeline stage) after the run
 //	-workers N    fan whole-circuit checks over N workers (0 = all
 //	              CPUs); the aggregate verdict is identical to serial
-//	-debug-addr A serve /debug/vars (expvar engine counters) and
-//	              /debug/pprof on address A while the run executes
+//	-debug-addr A serve /debug/pprof on address A while the run
+//	              executes
 package main
 
 import (
@@ -81,7 +81,7 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event timeline (Perfetto-loadable) to this file")
 	hist := flag.Bool("hist", false, "print latency/work distributions (p50/p90/p99 per stage) after the run")
 	stats := flag.Bool("stats", false, "print aggregated engine telemetry after the run")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address during the run")
+	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof on this address during the run")
 	flag.Parse()
 
 	if *file == "" {
@@ -126,7 +126,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "ltta: debug server:", err)
 			}
 		}()
-		fmt.Printf("debug server on %s (/debug/vars, /debug/pprof)\n", *debugAddr)
+		fmt.Printf("debug server on %s (/debug/pprof)\n", *debugAddr)
 	}
 
 	if *sta {
@@ -165,17 +165,12 @@ func main() {
 
 	// Assemble the request shared by every engine call: budgets,
 	// per-check deadline, tracer chain.
-	var statsTracer *core.StatsTracer
-	var histTracer *obs.Tracer
+	var engTracer *obs.Tracer
 	var spans *obs.SpanRecorder
 	var tracers []core.Tracer
-	if *stats {
-		statsTracer = new(core.StatsTracer)
-		tracers = append(tracers, statsTracer)
-	}
-	if *hist {
-		histTracer = obs.NewTracer()
-		tracers = append(tracers, histTracer)
+	if *stats || *hist {
+		engTracer = obs.NewTracer()
+		tracers = append(tracers, engTracer)
 	}
 	if *traceOut != "" {
 		spans = obs.NewSpanRecorder(c)
@@ -243,11 +238,12 @@ func main() {
 		fatal(fmt.Errorf("one of -delta, -exact, or -sta is required"))
 	}
 
-	if statsTracer != nil {
-		fmt.Printf("engine: %s\n", statsTracer)
+	if *stats {
+		snap := engTracer.Snapshot()
+		fmt.Printf("engine: %s\n", snap.Totals())
 	}
-	if histTracer != nil {
-		histTracer.WriteSummary(os.Stdout)
+	if *hist {
+		engTracer.WriteSummary(os.Stdout)
 	}
 	if spans != nil {
 		tf, err := os.Create(*traceOut)

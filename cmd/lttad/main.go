@@ -87,7 +87,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful-drain bound on SIGTERM/SIGINT")
 	maxBody := flag.Int64("max-body", 32<<20, "request body byte cap")
 	maxChecks := flag.Int("max-checks", 100000, "per-batch check-count cap")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address")
+	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof on this address")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, or error")
 	traceDir := flag.String("trace-dir", "", "write a trace_event timeline per batch to this directory")

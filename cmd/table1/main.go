@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/harness"
 	"repro/internal/obs"
@@ -52,16 +51,11 @@ func main() {
 		fmt.Println("Substitutes are synthetic stand-ins of comparable structure; see DESIGN.md §4.")
 		fmt.Println()
 	}
-	var tracer *core.StatsTracer
-	var histTracer *obs.Tracer
+	var tracer *obs.Tracer
 	var opts []harness.RowOption
-	if *stats {
-		tracer = new(core.StatsTracer)
+	if *stats || *hist {
+		tracer = obs.NewTracer()
 		opts = append(opts, harness.WithTracer(tracer))
-	}
-	if *hist {
-		histTracer = obs.NewTracer()
-		opts = append(opts, harness.WithTracer(histTracer))
 	}
 	if *pprofLabels {
 		opts = append(opts, harness.WithPprofLabels())
@@ -82,11 +76,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "table1:", err)
 			os.Exit(1)
 		}
-		if tracer != nil {
-			fmt.Fprintln(os.Stderr, "engine:", tracer)
+		if *stats {
+			snap := tracer.Snapshot()
+			fmt.Fprintln(os.Stderr, "engine:", snap.Totals())
 		}
-		if histTracer != nil {
-			histTracer.WriteSummary(os.Stderr)
+		if *hist {
+			tracer.WriteSummary(os.Stderr)
 		}
 		return
 	}
@@ -95,12 +90,13 @@ func main() {
 	fmt.Println("Legend: P possible violation, N no violation, V test vector found,")
 	fmt.Println("        A abandoned, C cancelled, - stage not needed,")
 	fmt.Println("        E exact floating delay, U upper bound.")
-	if tracer != nil {
+	if *stats {
+		snap := tracer.Snapshot()
 		fmt.Println()
-		fmt.Println("engine:", tracer)
+		fmt.Println("engine:", snap.Totals())
 	}
-	if histTracer != nil {
+	if *hist {
 		fmt.Println()
-		histTracer.WriteSummary(os.Stdout)
+		tracer.WriteSummary(os.Stdout)
 	}
 }

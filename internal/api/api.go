@@ -404,9 +404,9 @@ type Health struct {
 	Capacity int    `json:"queueDepth"`
 }
 
-// Metrics is the /metrics.json body: server counters plus the
-// engine-wide ltta.* expvar counters and the aggregated engine
-// telemetry of every check this server ran.
+// Metrics is the /metrics.json body: the tier's counters plus, on a
+// daemon, the ltta.* check totals and the flat engine telemetry of
+// every check this daemon ran (both empty on a coordinator).
 type Metrics struct {
 	Server map[string]int64 `json:"server"`
 	Engine map[string]int64 `json:"engine"`

@@ -243,7 +243,6 @@ func (v *Verifier) run(ctx context.Context, req Request) *Report {
 			rep.Stats.QueueHighWater = sys.QueueHighWater()
 		}
 		rep.Elapsed = time.Since(start)
-		recordCheck(rep)
 		if rs.tracer != nil {
 			rs.tracer.CheckDone(rep)
 		}

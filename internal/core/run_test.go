@@ -3,8 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -217,11 +217,11 @@ func suiteCircuit(t *testing.T, name string) *circuit.Circuit {
 	return nil
 }
 
-// TestNilTracerVsStatsTracerEquivalence asserts tracing is purely
-// observational: verdicts and counters with a StatsTracer installed
-// are identical to the nil-tracer run, and the tracer totals agree
-// with the report sums.
-func TestNilTracerVsStatsTracerEquivalence(t *testing.T) {
+// TestNilTracerEquivalence asserts tracing is purely observational:
+// verdicts and counters with a tracer installed are identical to the
+// nil-tracer run. obs's TestTracerTotalsMatchReports checks that a
+// tracer's totals agree with the report sums.
+func TestNilTracerEquivalence(t *testing.T) {
 	for _, name := range []string{"c17", "c432", "c880"} {
 		c := suiteCircuit(t, name)
 		prep := Prepare(c)
@@ -233,27 +233,11 @@ func TestNilTracerVsStatsTracerEquivalence(t *testing.T) {
 			// Fresh verifier per arm: warm-start memos are per verifier
 			// and the comparison includes work counters.
 			plain := prep.NewVerifier(Default()).RunAll(context.Background(), Request{Delta: delta, Workers: 1})
-			st := new(StatsTracer)
-			traced := prep.NewVerifier(Default()).RunAll(context.Background(), Request{Delta: delta, Workers: 1, Tracer: st})
+			tr := NewJSONTraceWriter(io.Discard, c)
+			traced := prep.NewVerifier(Default()).RunAll(context.Background(), Request{Delta: delta, Workers: 1, Tracer: tr})
 			if canonicalCircuit(plain) != canonicalCircuit(traced) {
 				t.Fatalf("%s δ=%s: tracer changed results:\n%s\nvs\n%s",
 					name, delta, canonicalCircuit(plain), canonicalCircuit(traced))
-			}
-			if st.Checks != len(traced.PerOutput) {
-				t.Fatalf("%s: tracer saw %d checks, aggregate kept %d", name, st.Checks, len(traced.PerOutput))
-			}
-			if st.Propagations != traced.Propagations {
-				t.Fatalf("%s: tracer propagations %d != aggregate %d", name, st.Propagations, traced.Propagations)
-			}
-			if int(st.Backtracks) != traced.Backtracks {
-				t.Fatalf("%s: tracer backtracks %d != aggregate %d", name, st.Backtracks, traced.Backtracks)
-			}
-			var wantDec int64
-			for _, r := range traced.PerOutput {
-				wantDec += r.Stats.Decisions
-			}
-			if st.Decisions != wantDec {
-				t.Fatalf("%s: tracer decisions %d != report sum %d", name, st.Decisions, wantDec)
 			}
 		}
 	}
@@ -359,25 +343,5 @@ func TestTraceWriterSmoke(t *testing.T) {
 	}
 	if !strings.Contains(js.String(), `"ev":"check.done"`) {
 		t.Fatalf("json trace missing check.done:\n%s", js.String())
-	}
-}
-
-// TestStatsTracerConcurrent hammers one StatsTracer from a parallel
-// sweep (meaningful under -race).
-func TestStatsTracerConcurrent(t *testing.T) {
-	c := suiteCircuit(t, "c880")
-	v := NewVerifier(c, Default())
-	st := new(StatsTracer)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v.RunAll(context.Background(), Request{Delta: v.Topological().Add(1), Workers: 4, Tracer: st})
-		}()
-	}
-	wg.Wait()
-	if st.Checks != 2*len(c.PrimaryOutputs()) {
-		t.Fatalf("tracer saw %d checks, want %d", st.Checks, 2*len(c.PrimaryOutputs()))
 	}
 }

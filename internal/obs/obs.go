@@ -5,10 +5,10 @@
 //
 // The paper's whole argument is *where the time goes* — which checks
 // fall through to case analysis, how many propagations and backtracks
-// each stage burns (Table 1). The flat counters of core.StatsTracer
-// answer "how much total"; this package answers the distributional
-// questions a serving deployment actually asks: per-stage latency
-// percentiles (ltta_stage_duration_seconds), how skewed the
+// each stage burns (Table 1). Flat totals answer "how much"; this
+// package also answers the distributional questions a serving
+// deployment actually asks: per-stage latency percentiles
+// (ltta_stage_duration_seconds), how skewed the
 // propagation cost is across checks (ltta_check_propagations), and an
 // exportable per-worker timeline (SpanRecorder) that renders the
 // parallel sweep in Perfetto.

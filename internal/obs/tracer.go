@@ -12,9 +12,9 @@ import (
 )
 
 // Tracer is the histogram-backed core.Tracer: it turns the pipeline's
-// callbacks into latency and work distributions instead of the flat
-// sums of core.StatsTracer. Every callback is either a no-op, an
-// atomic add, or one histogram Observe, so a single Tracer shared
+// callbacks into latency and work distributions, whose sums double as
+// the flat totals (TracerSnapshot.Totals). Every callback is either a
+// no-op, an atomic add, or one histogram Observe, so a single Tracer shared
 // across all workers of a parallel RunAll never serialises them; the
 // distributions are built entirely from the per-callback arguments
 // and the finished Report, which need no cross-callback state.
@@ -144,6 +144,26 @@ type TracerSnapshot struct {
 	Narrowings   int64
 }
 
+// Totals renders the snapshot's flat sums on one line: checks by
+// final verdict, summed work counters, the queue high-water mark as
+// its histogram bucket bound, and check time in total and per stage.
+// It is the -stats line of ltta and table1 and lttad's checksSummary.
+func (s *TracerSnapshot) Totals() string {
+	out := fmt.Sprintf(
+		"checks %d (N %d, V %d, A %d, C %d, P %d); propagations %d, narrowings %d, backtracks %d, decisions %d, dominator rounds %d, stem splits %d; queue high-water ≤%d; cpu %.3fs",
+		s.TotalChecks(), s.Checks[core.NoViolation], s.Checks[core.ViolationFound],
+		s.Checks[core.Abandoned], s.Checks[core.Cancelled], s.Checks[core.PossibleViolation],
+		s.Propagations.Sum, s.Narrowings, s.Backtracks.Sum, s.Decisions,
+		s.DominatorRds, s.StemSplits, s.QueueHighWater.Quantile(1),
+		time.Duration(s.CheckSeconds.Sum).Seconds())
+	for st := core.Stage(0); st < core.NumStages; st++ {
+		if d := s.StageSeconds[st].Sum; d > 0 {
+			out += fmt.Sprintf("; %s %.3fs", st, time.Duration(d).Seconds())
+		}
+	}
+	return out
+}
+
 // TotalChecks sums the per-verdict check counters.
 func (s *TracerSnapshot) TotalChecks() int64 {
 	var n int64
@@ -231,8 +251,8 @@ func (t *Tracer) MustRegister(reg *Registry, ns string) {
 }
 
 // WriteSummary renders a human-readable percentile summary of the
-// tracer's distributions — the `table1 -hist` / `ltta` companion to
-// core.StatsTracer's flat sums.
+// tracer's distributions — the `table1 -hist` / `ltta -hist` companion
+// to the flat sums of TracerSnapshot.Totals.
 func (t *Tracer) WriteSummary(w io.Writer) {
 	s := t.Snapshot()
 	fmt.Fprintf(w, "latency/work distributions over %d checks:\n", s.TotalChecks())

@@ -3,12 +3,14 @@ package obs_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/obs"
+	"repro/internal/waveform"
 )
 
 // TestTracerSharedAcrossWorkers drives ONE obs.Tracer through a
@@ -62,6 +64,49 @@ func TestTracerSharedAcrossWorkers(t *testing.T) {
 	}
 	if s.Propagations.Sum != wantProps {
 		t.Fatalf("propagation histogram sum %d, serial sweep did %d", s.Propagations.Sum, wantProps)
+	}
+}
+
+// TestTracerTotalsMatchReports checks that a tracer's flat totals
+// agree with the report sums of the checks it observed: checks,
+// propagations, backtracks, and case-analysis decisions.
+func TestTracerTotalsMatchReports(t *testing.T) {
+	for _, e := range gen.SubstituteSuite() {
+		switch e.Name {
+		case "c17", "c432", "c880":
+		default:
+			continue
+		}
+		prep := core.Prepare(e.Circuit)
+		res, err := prep.NewVerifier(core.Default()).CircuitFloatingDelay()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, delta := range []waveform.Time{res.Delay.Add(1), res.Delay} {
+			tr := obs.NewTracer()
+			cr := prep.NewVerifier(core.Default()).RunAll(context.Background(),
+				core.Request{Delta: delta, Workers: 1, Tracer: tr})
+			s := tr.Snapshot()
+			if got := s.TotalChecks(); got != int64(len(cr.PerOutput)) {
+				t.Fatalf("%s: tracer saw %d checks, aggregate kept %d", e.Name, got, len(cr.PerOutput))
+			}
+			if s.Propagations.Sum != cr.Propagations {
+				t.Fatalf("%s: tracer propagations %d != aggregate %d", e.Name, s.Propagations.Sum, cr.Propagations)
+			}
+			if int(s.Backtracks.Sum) != cr.Backtracks {
+				t.Fatalf("%s: tracer backtracks %d != aggregate %d", e.Name, s.Backtracks.Sum, cr.Backtracks)
+			}
+			var wantDec int64
+			for _, r := range cr.PerOutput {
+				wantDec += r.Stats.Decisions
+			}
+			if s.Decisions != wantDec {
+				t.Fatalf("%s: tracer decisions %d != report sum %d", e.Name, s.Decisions, wantDec)
+			}
+			if line := s.Totals(); !strings.HasPrefix(line, fmt.Sprintf("checks %d (", len(cr.PerOutput))) {
+				t.Fatalf("%s: totals line %q does not lead with the check count", e.Name, line)
+			}
+		}
 	}
 }
 

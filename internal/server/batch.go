@@ -2,12 +2,8 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"log/slog"
 	"net/http"
-	"os"
-	"path/filepath"
-	"strconv"
 	"sync"
 	"time"
 
@@ -15,26 +11,21 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/registry"
 	"repro/internal/waveform"
 )
 
-// batch is one admitted submission being executed. The handler
-// goroutine owns it: it prepares the circuit, fans checks out over the
-// server's shared pool, and assembles the response (or streams events
-// as they arrive).
+// batch is one admitted submission being executed on the daemon. The
+// handler goroutine owns it: it prepares the circuit, fans checks out
+// over the server's shared pool, and assembles the response (or
+// streams events as they arrive).
 type batch struct {
+	*job
 	srv     *Server
-	req     *Request
-	c       *circuit.Circuit
-	checks  []resolvedCheck
 	prep    *core.Prepared // registry-cached precompute; nil on the inline path
 	opts    core.Options
 	budgets core.Budgets
-
-	id    int64
-	log   *slog.Logger      // request-scoped: carries the batch id and trace id
-	rec   *obs.SpanRecorder // per-batch timeline when Config.TraceDir is set
-	trace *api.TraceContext // completed trace context (id always set)
+	rec     *obs.SpanRecorder // per-batch timeline when Config.TraceDir is set
 
 	checkTimeout time.Duration
 
@@ -42,41 +33,33 @@ type batch struct {
 	checksRun int
 }
 
-// emitter serialises streamed events; nil for buffered responses.
-// Events from pool workers interleave, so emission is locked. Every
-// emitted event echoes the batch's trace id (unless the producer
-// already stamped one).
-type emitter struct {
-	mu      sync.Mutex
-	enc     *json.Encoder
-	fl      http.Flusher
-	traceID string
-}
-
-func (e *emitter) emit(ev Event) {
-	if e == nil {
-		return
+// execute runs an admitted batch on the pool. A hash-addressed batch
+// resolves its prepared state here — after admission, under the batch
+// context — so cold preparations respect the queue bound and the drain
+// deadline.
+func (s *Server) execute(ctx context.Context, j *job, em *emitter) (*Response, *apiError) {
+	b := &batch{job: j, srv: s,
+		opts: engineOptions(j.req.Options), budgets: engineBudgets(j.req.Budgets),
+		checkTimeout: minTimeout(s.cfg.CheckTimeout, time.Duration(j.req.CheckTimeoutMs)*time.Millisecond),
 	}
-	if ev.TraceID == "" {
-		ev.TraceID = e.traceID
+	if pin, ok := j.ref.(*registry.Pin); ok {
+		prep, wasHit, err := pin.Prepared(ctx)
+		if err != nil {
+			return nil, &apiError{status: http.StatusInternalServerError,
+				code: "prepare_failed", msg: err.Error(), hash: pin.Hash()}
+		}
+		b.prep = prep
+		b.log.LogAttrs(ctx, slog.LevelDebug, "prepared state", slog.Bool("cacheHit", wasHit))
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_ = e.enc.Encode(ev)
-	if e.fl != nil {
-		e.fl.Flush()
+	if s.cfg.TraceDir != "" {
+		b.rec = obs.NewSpanRecorder(j.c)
+		stamp := map[string]any{"trace_id": j.trace.TraceID, "batch": j.id}
+		if sh := j.req.Shard; sh != nil {
+			stamp["attempt"] = sh.Attempt
+		}
+		b.rec.Stamp(stamp)
 	}
-}
-
-// stream runs the batch and writes NDJSON events as results land.
-func (b *batch) stream(ctx context.Context, w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	em := &emitter{enc: json.NewEncoder(w), traceID: b.trace.TraceID}
-	if fl, ok := w.(http.Flusher); ok {
-		em.fl = fl
-	}
-	resp := b.run(ctx, em)
-	em.emit(Event{Type: "done", Done: &resp.Done})
+	return b.run(ctx, em), nil
 }
 
 // run executes the batch. With em == nil the results are collected
@@ -110,31 +93,10 @@ func (b *batch) run(ctx context.Context, em *emitter) *Response {
 	b.log.LogAttrs(ctx, slog.LevelInfo, "batch done",
 		slog.String("circuit", b.c.Name), slog.Int("checks", b.checksRun),
 		slog.Duration("elapsed", time.Since(start)))
-	b.writeTrace(ctx)
+	if b.rec != nil {
+		b.writeTrace(ctx, b.srv.cfg.TraceDir, b.rec)
+	}
 	return resp
-}
-
-// writeTrace dumps the batch's span timeline to
-// TraceDir/batch-<id>.trace.json when span recording is on.
-func (b *batch) writeTrace(ctx context.Context) {
-	if b.rec == nil {
-		return
-	}
-	path := filepath.Join(b.srv.cfg.TraceDir, "batch-"+strconv.FormatInt(b.id, 10)+".trace.json")
-	f, err := os.Create(path)
-	if err == nil {
-		err = b.rec.WriteTrace(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		b.log.LogAttrs(ctx, slog.LevelWarn, "trace write failed",
-			slog.String("path", path), slog.String("error", err.Error()))
-		return
-	}
-	b.log.LogAttrs(ctx, slog.LevelInfo, "trace written",
-		slog.String("path", path), slog.Int("events", b.rec.Len()))
 }
 
 // runOne executes one check on the server pool and logs its outcome

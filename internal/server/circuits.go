@@ -1,10 +1,7 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
-	"log/slog"
-	"net/http"
 
 	"repro/internal/api"
 	"repro/internal/circuit"
@@ -12,49 +9,44 @@ import (
 	"repro/internal/sdf"
 )
 
-// handleCircuitPut is PUT /v1/circuits: canonicalize the upload, hash
-// it, and register the parsed circuit under its content address. The
-// call is idempotent — re-uploading a known circuit costs one hash and
-// zero parses — and takes no admission slot: uploads are cheap
-// bookkeeping next to check batches, and a registry full of circuits
-// admits no work by itself.
-func (s *Server) handleCircuitPut(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.rejectedDrain.Add(1)
-		s.log.LogAttrs(r.Context(), slog.LevelWarn, "upload rejected",
-			slog.String("reason", "draining"))
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
-		writeError(w, &apiError{status: http.StatusServiceUnavailable, code: "draining",
-			msg: "server is draining; resubmit elsewhere"})
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var up UploadRequest
-	if apiErr := decodeBody(r.Body, &up); apiErr != nil {
-		s.rejectBadRequest(r.Context(), w, apiErr)
-		return
-	}
-	if !api.AcceptsVersion(up.V) {
-		s.rejectBadRequest(r.Context(), w, unsupportedVersion(up.V))
-		return
-	}
-	res, err := s.registry.Put(&up, s.buildCircuit)
+// upload registers a circuit in the daemon's registry. Re-uploading a
+// known circuit costs one hash and zero parses.
+func (s *Server) upload(up *UploadRequest) (api.Hash, *circuit.Circuit, bool, error) {
+	res, err := s.registry.Put(up, s.buildCircuit)
 	if err != nil {
-		s.rejectBadRequest(r.Context(), w, uploadError(err))
-		return
+		return "", nil, false, err
 	}
-	s.log.LogAttrs(r.Context(), slog.LevelInfo, "circuit upload",
-		slog.String("hash", string(res.Hash)), slog.Bool("created", res.Created),
-		slog.String("circuit", res.Circuit.Name))
-	w.Header().Set("Content-Type", "application/json")
-	if res.Created {
-		w.WriteHeader(http.StatusCreated)
-	}
-	_ = json.NewEncoder(w).Encode(UploadResponse{
-		V: api.Version, Hash: res.Hash, Created: res.Created,
-		Circuit: circuitInfo(res.Circuit, 0),
-	})
+	return res.Hash, res.Circuit, res.Created, nil
 }
+
+// lookup pins a registered circuit, and with it its shared prepared
+// state, against eviction for the whole batch. A warm entry serves the
+// batch with zero parses and zero core.Prepare calls.
+func (s *Server) lookup(h api.Hash) (circuitRef, bool) {
+	pin, ok := s.registry.Acquire(h)
+	if !ok {
+		return nil, false
+	}
+	return pin, true
+}
+
+// inline parses the netlist an inline submission carries; the batch
+// then pays its own preparation.
+func (s *Server) inline(req *Request) (circuitRef, error) {
+	s.netlistParses.Add(1)
+	c, apiErr := parseNetlist(req.Netlist, req.Format, req.Name, req.DefaultDelay)
+	if apiErr != nil {
+		return nil, apiErr
+	}
+	return inlineCircuit{c}, nil
+}
+
+// inlineCircuit is a daemon's unregistered, per-batch circuit.
+type inlineCircuit struct{ c *circuit.Circuit }
+
+func (i inlineCircuit) Circuit() *circuit.Circuit { return i.c }
+func (inlineCircuit) Hash() api.Hash              { return "" }
+func (inlineCircuit) Release()                    {}
 
 // uploadError maps a registry.Put failure onto the structured error
 // envelope: canonicalization failures carry their own stable code,
@@ -111,46 +103,4 @@ func buildUploadCircuit(canon *api.UploadRequest) (*circuit.Circuit, error) {
 		g.DMin = d.DMin
 	}
 	return c, nil
-}
-
-// handleCheckByHash is POST /v1/circuits/{hash}/check: run a batch
-// against a previously uploaded circuit. The request carries no
-// netlist — a warm entry serves the batch with zero parses and zero
-// core.Prepare calls. The pin taken here holds the entry (and its
-// shared prepared state) against eviction for the whole batch,
-// released only after the response is written.
-func (s *Server) handleCheckByHash(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.rejectedDrain.Add(1)
-		s.log.LogAttrs(r.Context(), slog.LevelWarn, "batch rejected",
-			slog.String("reason", "draining"))
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
-		writeError(w, &apiError{status: http.StatusServiceUnavailable, code: "draining",
-			msg: "server is draining; resubmit elsewhere"})
-		return
-	}
-	h := api.Hash(r.PathValue("hash"))
-	if !h.Valid() {
-		s.rejectBadRequest(r.Context(), w, badRequest("bad_hash",
-			"malformed circuit hash %q (want sha256:<64 hex>)", string(h)))
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	req, apiErr := decodeRequest(r.Body, true)
-	if apiErr != nil {
-		s.rejectBadRequest(r.Context(), w, apiErr)
-		return
-	}
-	pin, ok := s.registry.Acquire(h)
-	if !ok {
-		s.badRequests.Add(1)
-		s.log.LogAttrs(r.Context(), slog.LevelInfo, "unknown hash",
-			slog.String("hash", string(h)))
-		writeError(w, &apiError{status: http.StatusNotFound, code: "unknown_hash",
-			msg:  "no circuit registered under this hash; PUT /v1/circuits and retry",
-			hash: h})
-		return
-	}
-	defer pin.Release()
-	s.admitAndRun(w, r, req, pin.Circuit(), pin)
 }

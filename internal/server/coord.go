@@ -2,10 +2,8 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,18 +68,6 @@ type CoordConfig struct {
 }
 
 func (cfg CoordConfig) withDefaults() CoordConfig {
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 32 << 20
-	}
-	if cfg.MaxChecks <= 0 {
-		cfg.MaxChecks = 100000
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
 	if cfg.HedgeAfter == 0 {
 		cfg.HedgeAfter = 2 * time.Second
 	}
@@ -100,13 +86,11 @@ func (cfg CoordConfig) withDefaults() CoordConfig {
 	if cfg.Name == "" {
 		cfg.Name = "lttad-coord"
 	}
-	if cfg.Logger == nil {
-		cfg.Logger = obs.NopLogger()
-	}
 	return cfg
 }
 
-// Coordinator is the cluster front end of lttad: it speaks the same
+// Coordinator is the cluster tier of lttad: the shared HTTP front end
+// over a shard dispatcher instead of a local pool. It speaks the same
 // wire protocol as a single daemon (PUT /v1/circuits, POST /v1/check,
 // POST /v1/circuits/{hash}/check, NDJSON streaming) but runs no checks
 // itself. A batch is sharded by (circuit-hash, sink) rendezvous
@@ -118,44 +102,25 @@ func (cfg CoordConfig) withDefaults() CoordConfig {
 // duplicate results from the races that creates are dropped at the
 // merge point. See DESIGN.md §15.
 type Coordinator struct {
+	*frontEnd
 	cfg CoordConfig
-	mux *http.ServeMux
 
 	pool    *client.Pool
 	workers []*coordWorker
 	byAddr  map[string]*coordWorker
+	ready   atomic.Bool // flips once a probe round finds a live worker
 
-	slots    chan struct{}
-	inflight sync.WaitGroup
-	draining atomic.Bool
-	ready    atomic.Bool
+	probeStop context.CancelFunc
+	probeDone chan struct{}
 
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-
-	probeStop    context.CancelFunc
-	probeDone    chan struct{}
-	shutdownOnce sync.Once
-
-	log      *slog.Logger
-	batchSeq atomic.Int64
-	reg      *obs.Registry
-
-	flight       *obs.FlightRecorder // always-on merged-check record behind /debug/checks
-	checkSeconds *obs.Histogram      // merged terminal results, worker-reported latency
-	requeues     *obs.CounterVec     // lttad_coord_requeues_total by reason
-	hedges       *obs.CounterVec     // lttad_coord_hedges_total by attempt
+	requeues *obs.CounterVec // lttad_coord_requeues_total by reason
+	hedges   *obs.CounterVec // lttad_coord_hedges_total by attempt
 
 	mu       sync.Mutex
 	circuits map[api.Hash]*coordEntry // guarded by mu
 	useSeq   int64                    // guarded by mu
 
 	// counters behind /metrics (lttad_coord_*)
-	accepted          atomic.Int64
-	rejectedFull      atomic.Int64
-	rejectedDrain     atomic.Int64
-	badRequests       atomic.Int64
-	streams           atomic.Int64
 	checksMerged      atomic.Int64
 	dispatchPrimary   atomic.Int64
 	dispatchRequeue   atomic.Int64
@@ -213,37 +178,39 @@ type coordEntry struct {
 	lastUse int64 // guarded by Coordinator.mu
 }
 
+func (e *coordEntry) Circuit() *circuit.Circuit { return e.c }
+func (e *coordEntry) Hash() api.Hash            { return e.hash }
+func (e *coordEntry) Release()                  {}
+
 // NewCoordinator builds a Coordinator over the configured workers and
 // starts its health-probe loop.
 func NewCoordinator(cfg CoordConfig) *Coordinator {
 	cfg = cfg.withDefaults()
 	co := &Coordinator{
 		cfg:      cfg,
-		mux:      http.NewServeMux(),
 		pool:     client.NewPool(cfg.Workers),
 		byAddr:   make(map[string]*coordWorker),
-		slots:    make(chan struct{}, cfg.QueueDepth),
 		circuits: make(map[api.Hash]*coordEntry),
 	}
-	co.baseCtx, co.baseCancel = context.WithCancel(context.Background())
-	co.log = cfg.Logger
-	co.reg = obs.NewRegistry()
-	co.flight = obs.NewFlightRecorder(cfg.FlightLast, cfg.FlightSlowest)
-	co.checkSeconds = obs.NewHistogram(obs.ExpBuckets(1_000, 100_000_000_000, 5))
 	for _, addr := range co.pool.Addrs() {
 		w := &coordWorker{addr: addr, cl: co.pool.For(addr), uploaded: make(map[api.Hash]bool)}
 		co.workers = append(co.workers, w)
 		co.byAddr[addr] = w
 	}
-	co.registerCoordMetrics()
-	co.mux.HandleFunc("/v1/check", co.handleCheck)
-	co.mux.HandleFunc("PUT /v1/circuits", co.handleCircuitPut)
-	co.mux.HandleFunc("POST /v1/circuits/{hash}/check", co.handleCheckByHash)
-	co.mux.HandleFunc("/healthz", co.handleHealthz)
-	co.mux.HandleFunc("/readyz", co.handleReadyz)
-	co.mux.HandleFunc("/metrics", co.handleMetricsProm)
-	co.mux.HandleFunc("/metrics.json", co.handleMetricsJSON)
-	co.mux.HandleFunc("GET /debug/checks", co.handleDebugChecks)
+	co.frontEnd = newFrontEnd(frontConfig{
+		ns: "lttad_coord", noun: "coordinator",
+		queueDepth: cfg.QueueDepth, maxBody: cfg.MaxBodyBytes, maxChecks: cfg.MaxChecks,
+		retryAfter: cfg.RetryAfter, log: cfg.Logger,
+		flightLast: cfg.FlightLast, flightSlowest: cfg.FlightSlowest,
+		checkSeconds: obs.NewHistogram(obs.ExpBuckets(1_000, 100_000_000_000, 5)),
+	}, co)
+	co.requeues = co.reg.CounterVec("lttad_coord_requeues_total",
+		"Checks requeued, by why the previous dispatch failed.", "reason")
+	co.hedges = co.reg.CounterVec("lttad_coord_hedges_total",
+		"Straggler checks hedged, by the dispatch attempt the hedge became.", "attempt")
+	co.reg.Histogram("lttad_coord_check_duration_seconds",
+		"Worker-reported latency of terminal check results merged by this coordinator.",
+		nil, co.checkSeconds, 1e-9)
 
 	probeCtx, stop := context.WithCancel(co.baseCtx)
 	co.probeStop = stop
@@ -251,8 +218,6 @@ func NewCoordinator(cfg CoordConfig) *Coordinator {
 	go co.probeLoop(probeCtx)
 	return co
 }
-
-func (co *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { co.mux.ServeHTTP(w, r) }
 
 // probeLoop keeps the live worker set fresh: every ProbeInterval each
 // worker's /readyz is asked whether it would admit a batch. Dispatch
@@ -424,11 +389,6 @@ func (co *Coordinator) circuitCount() int {
 	return len(co.circuits)
 }
 
-// BeginDrain moves the coordinator to draining: new submissions are
-// rejected with 503 + Retry-After; in-flight batches keep merging.
-// Idempotent.
-func (co *Coordinator) BeginDrain() { co.draining.Store(true) }
-
 // Shutdown drains the coordinator: it stops admitting batches, waits
 // for the in-flight ones, and — if ctx expires first — cancels them so
 // every check still reports exactly one terminal result (verdict C for
@@ -436,378 +396,94 @@ func (co *Coordinator) BeginDrain() { co.draining.Store(true) }
 // stream the batches hold open. The probe loop has exited when it
 // returns.
 func (co *Coordinator) Shutdown(ctx context.Context) error {
-	co.BeginDrain()
-	var err error
-	co.shutdownOnce.Do(func() {
-		done := make(chan struct{})
-		go func() {
-			co.inflight.Wait()
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-ctx.Done():
-			err = ctx.Err()
-			co.baseCancel()
-			<-done
-		}
-		co.baseCancel()
-		co.probeStop()
-	})
+	err := co.shutdown(ctx, co.probeStop)
 	<-co.probeDone
 	return err
 }
 
-// rejectDraining answers a submission arriving during drain.
-func (co *Coordinator) rejectDraining(ctx context.Context, w http.ResponseWriter, what string) {
-	co.rejectedDrain.Add(1)
-	co.log.LogAttrs(ctx, slog.LevelWarn, what+" rejected", slog.String("reason", "draining"))
-	w.Header().Set("Retry-After", co.retryAfterSeconds())
-	writeError(w, &apiError{status: http.StatusServiceUnavailable, code: "draining",
-		msg: "coordinator is draining; resubmit elsewhere"})
-}
-
-func (co *Coordinator) retryAfterSeconds() string {
-	secs := int(co.cfg.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return fmt.Sprintf("%d", secs)
-}
-
-func (co *Coordinator) rejectBadRequest(ctx context.Context, w http.ResponseWriter, e *apiError) {
-	co.badRequests.Add(1)
-	co.log.LogAttrs(ctx, slog.LevelInfo, "bad request",
-		slog.String("code", e.code), slog.String("message", e.msg))
-	writeError(w, e)
-}
-
-// handleCircuitPut is PUT /v1/circuits on the coordinator: hash and
-// parse exactly like a worker would (shared canonicalization, so the
-// address is identical cluster-wide), keep the canonical form for
-// worker uploads, and echo the address. Workers receive the circuit
-// lazily, the first time a shard routes to them.
-func (co *Coordinator) handleCircuitPut(w http.ResponseWriter, r *http.Request) {
-	if co.draining.Load() {
-		co.rejectDraining(r.Context(), w, "upload")
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, co.cfg.MaxBodyBytes)
-	var up UploadRequest
-	if apiErr := decodeBody(r.Body, &up); apiErr != nil {
-		co.rejectBadRequest(r.Context(), w, apiErr)
-		return
-	}
-	if !api.AcceptsVersion(up.V) {
-		co.rejectBadRequest(r.Context(), w, unsupportedVersion(up.V))
-		return
-	}
-	hash, canon, err := registry.HashUpload(&up)
+// register hashes an upload exactly like a worker would (shared
+// canonicalization, so the address is identical cluster-wide) and
+// keeps the canonical form for worker uploads. Workers receive the
+// circuit lazily, the first time a shard routes to them.
+func (co *Coordinator) register(up *api.UploadRequest) (*coordEntry, bool, error) {
+	hash, canon, err := registry.HashUpload(up)
 	if err != nil {
-		co.rejectBadRequest(r.Context(), w, uploadError(err))
-		return
+		return nil, false, err
 	}
-	entry, created, err := co.putEntry(hash, canon, func() (*circuit.Circuit, error) {
+	return co.putEntry(hash, canon, func() (*circuit.Circuit, error) {
 		co.netlistParses.Add(1)
 		return buildUploadCircuit(canon)
 	})
-	if err != nil {
-		co.rejectBadRequest(r.Context(), w, uploadError(err))
-		return
-	}
-	co.log.LogAttrs(r.Context(), slog.LevelInfo, "circuit upload",
-		slog.String("hash", string(hash)), slog.Bool("created", created),
-		slog.String("circuit", entry.c.Name))
-	w.Header().Set("Content-Type", "application/json")
-	if created {
-		w.WriteHeader(http.StatusCreated)
-	}
-	_ = json.NewEncoder(w).Encode(UploadResponse{
-		V: api.Version, Hash: hash, Created: created,
-		Circuit: circuitInfo(entry.c, 0),
-	})
 }
 
-// handleCheck is the coordinator's inline POST /v1/check: the netlist
-// rides in the body, is hashed into the coordinator's table exactly
-// like an upload, and the batch then runs on the sharded path — so
-// inline and hash-addressed submissions are served by the same merge
-// machine and are result-identical.
-func (co *Coordinator) handleCheck(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, &apiError{status: http.StatusMethodNotAllowed, code: "method_not_allowed",
-			msg: "POST required"})
-		return
+func (co *Coordinator) upload(up *UploadRequest) (api.Hash, *circuit.Circuit, bool, error) {
+	e, created, err := co.register(up)
+	if err != nil {
+		return "", nil, false, err
 	}
-	if co.draining.Load() {
-		co.rejectDraining(r.Context(), w, "batch")
-		return
+	return e.hash, e.c, created, nil
+}
+
+func (co *Coordinator) lookup(h api.Hash) (circuitRef, bool) {
+	e, ok := co.getEntry(h)
+	if !ok {
+		return nil, false
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, co.cfg.MaxBodyBytes)
-	req, apiErr := decodeRequest(r.Body, false)
-	if apiErr != nil {
-		co.rejectBadRequest(r.Context(), w, apiErr)
-		return
-	}
-	hash, canon, err := registry.HashUpload(&api.UploadRequest{
+	return e, true
+}
+
+// inline hashes an inline netlist into the circuit table exactly like
+// an upload, so inline and hash-addressed submissions are served by
+// the same merge machine and are result-identical.
+func (co *Coordinator) inline(req *Request) (circuitRef, error) {
+	e, _, err := co.register(&api.UploadRequest{
 		Netlist: req.Netlist, Format: req.Format, Name: req.Name, DefaultDelay: req.DefaultDelay,
 	})
 	if err != nil {
-		co.rejectBadRequest(r.Context(), w, uploadError(err))
-		return
+		return nil, err
 	}
-	entry, _, err := co.putEntry(hash, canon, func() (*circuit.Circuit, error) {
-		co.netlistParses.Add(1)
-		return buildUploadCircuit(canon)
-	})
-	if err != nil {
-		co.rejectBadRequest(r.Context(), w, uploadError(err))
-		return
-	}
-	co.admitAndRun(w, r, req, entry)
+	return e, nil
 }
 
-// handleCheckByHash is POST /v1/circuits/{hash}/check on the
-// coordinator.
-func (co *Coordinator) handleCheckByHash(w http.ResponseWriter, r *http.Request) {
-	if co.draining.Load() {
-		co.rejectDraining(r.Context(), w, "batch")
-		return
-	}
-	h := api.Hash(r.PathValue("hash"))
-	if !h.Valid() {
-		co.rejectBadRequest(r.Context(), w, badRequest("bad_hash",
-			"malformed circuit hash %q (want sha256:<64 hex>)", string(h)))
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, co.cfg.MaxBodyBytes)
-	req, apiErr := decodeRequest(r.Body, true)
-	if apiErr != nil {
-		co.rejectBadRequest(r.Context(), w, apiErr)
-		return
-	}
-	entry, ok := co.getEntry(h)
-	if !ok {
-		co.badRequests.Add(1)
-		co.log.LogAttrs(r.Context(), slog.LevelInfo, "unknown hash", slog.String("hash", string(h)))
-		writeError(w, &apiError{status: http.StatusNotFound, code: "unknown_hash",
-			msg:  "no circuit registered under this hash; PUT /v1/circuits and retry",
-			hash: h})
-		return
-	}
-	co.admitAndRun(w, r, req, entry)
-}
+func (co *Coordinator) isReady() bool    { return co.ready.Load() }
+func (co *Coordinator) workerCount() int { return co.aliveCount() }
 
-// admitAndRun is the coordinator's admission + execution half: resolve
-// sinks, take a queue slot (or 429), build the batch context, and run
-// the shard/merge state machine.
-func (co *Coordinator) admitAndRun(w http.ResponseWriter, r *http.Request, req *Request, entry *coordEntry) {
-	checks, apiErr := resolveChecks(entry.c, req.Checks)
-	if apiErr != nil {
-		co.rejectBadRequest(r.Context(), w, apiErr)
-		return
+// metrics declares the coordinator's shard, requeue, and hedge
+// counters.
+func (co *Coordinator) metrics() []metric {
+	const dispatches = "Shard dispatches to workers by kind."
+	return []metric{
+		{name: "lttad_coord_workers", help: "Workers configured behind the coordinator.",
+			key: "coordWorkers", gauge: true, value: func() int64 { return int64(len(co.workers)) }},
+		{name: "lttad_coord_workers_alive", help: "Workers currently probed (or assumed) live.",
+			key: "coordWorkersAlive", gauge: true, value: func() int64 { return int64(co.aliveCount()) }},
+		{name: "lttad_coord_circuits", help: "Circuits registered on the coordinator.",
+			key: "coordCircuits", gauge: true, value: func() int64 { return int64(co.circuitCount()) }},
+		{name: "lttad_coord_checks_total", help: "Terminal check results merged into client responses.",
+			key: "checksMerged", value: co.checksMerged.Load},
+		{name: "lttad_coord_shard_dispatches_total", labels: obs.Labels{"kind": "primary"}, help: dispatches,
+			key: "shardDispatchesPrimary", value: co.dispatchPrimary.Load},
+		{name: "lttad_coord_shard_dispatches_total", labels: obs.Labels{"kind": "requeue"}, help: dispatches,
+			key: "shardDispatchesRequeue", value: co.dispatchRequeue.Load},
+		{name: "lttad_coord_shard_dispatches_total", labels: obs.Labels{"kind": "hedge"}, help: dispatches,
+			key: "shardDispatchesHedge", value: co.dispatchHedge.Load},
+		{name: "lttad_coord_requeued_checks_total", help: "Checks requeued off a failed worker onto survivors.",
+			key: "requeuedChecks", value: co.requeuedChecks.Load},
+		{name: "lttad_coord_hedged_checks_total", help: "Straggler checks hedged onto a second worker.",
+			key: "hedgedChecks", value: co.hedgedChecks.Load},
+		{name: "lttad_coord_duplicate_results_dropped_total",
+			help: "Worker results dropped because the check already had its terminal result.",
+			key:  "duplicateResultsDropped", value: co.duplicatesDropped.Load},
+		{name: "lttad_coord_worker_failures_total",
+			help: "Dispatch-detected worker failures (alive→dead transitions).",
+			key:  "workerFailures", value: co.workerFailures.Load},
+		{name: "lttad_coord_worker_uploads_total", help: "Circuit uploads pushed to workers.",
+			key: "workerUploads", value: co.workerUploads.Load},
+		{name: "lttad_coord_check_failures_total",
+			help: "Checks that exhausted every dispatch attempt and reported verdict A.",
+			key:  "checkFailures", value: co.checkFailures.Load},
+		{name: "lttad_coord_netlist_parses_total",
+			help: "Netlist parses performed by the coordinator (uploads and inline checks).",
+			key:  "netlistParses", value: co.netlistParses.Load},
 	}
-	if n := batchSize(entry.c, req, checks); n > co.cfg.MaxChecks {
-		co.rejectBadRequest(r.Context(), w, badRequest("too_many_checks",
-			"batch expands to %d checks, cap is %d", n, co.cfg.MaxChecks))
-		return
-	}
-
-	select {
-	case co.slots <- struct{}{}:
-	default:
-		co.rejectedFull.Add(1)
-		co.log.LogAttrs(r.Context(), slog.LevelWarn, "batch rejected",
-			slog.String("reason", "queue_full"), slog.Int("queueDepth", co.cfg.QueueDepth))
-		w.Header().Set("Retry-After", co.retryAfterSeconds())
-		writeError(w, &apiError{status: http.StatusTooManyRequests, code: "queue_full",
-			msg: fmt.Sprintf("admission queue full (%d batches)", co.cfg.QueueDepth)})
-		return
-	}
-	co.inflight.Add(1)
-	co.accepted.Add(1)
-	defer func() {
-		<-co.slots
-		co.inflight.Done()
-	}()
-
-	ctx := co.baseCtx
-	if reqCtx := r.Context(); reqCtx != nil {
-		var stop context.CancelFunc
-		ctx, stop = mergeCancel(ctx, reqCtx)
-		defer stop()
-	}
-	if d := time.Duration(req.TimeoutMs) * time.Millisecond; d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-
-	id := co.batchSeq.Add(1)
-	trace := api.EnsureTrace(req.Trace)
-	logger := co.log.With(slog.Int64("batch", id), slog.String("trace_id", trace.TraceID))
-	if trace.Tenant != "" {
-		logger = logger.With(slog.String("tenant", trace.Tenant))
-	}
-	cb := &coordBatch{
-		co: co, entry: entry, req: req, checks: checks, id: id,
-		log: logger, trace: trace, clientTraced: req.Trace != nil,
-	}
-	if co.cfg.TraceDir != "" {
-		cb.ct = obs.NewClusterTrace(time.Now())
-	}
-	cb.log.LogAttrs(ctx, slog.LevelInfo, "batch accepted",
-		slog.String("circuit", entry.c.Name), slog.String("hash", string(entry.hash)),
-		slog.Int("checks", batchSize(entry.c, req, checks)), slog.Bool("stream", req.Stream))
-	if req.Stream {
-		co.streams.Add(1)
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		em := &emitter{enc: json.NewEncoder(w), traceID: trace.TraceID}
-		if fl, ok := w.(http.Flusher); ok {
-			em.fl = fl
-		}
-		resp := cb.run(ctx, em)
-		em.emit(Event{Type: "done", Done: &resp.Done})
-		return
-	}
-	resp := cb.run(ctx, nil)
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
-}
-
-func (co *Coordinator) health() Health {
-	h := Health{Status: "ok", Workers: co.aliveCount(),
-		Queued: len(co.slots), Capacity: co.cfg.QueueDepth}
-	switch {
-	case co.draining.Load():
-		h.Status = "draining"
-	case !co.ready.Load():
-		h.Status = "starting"
-	}
-	return h
-}
-
-// handleHealthz is pure liveness, exactly like the worker's.
-func (co *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(co.health())
-}
-
-// handleReadyz is readiness: 503 until the first probe round finds a
-// live worker, and from the moment draining begins — a coordinator
-// with no cluster behind it must not join a load balancer.
-func (co *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	h := co.health()
-	code := http.StatusOK
-	if h.Status != "ok" {
-		code = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", co.retryAfterSeconds())
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(h)
-}
-
-// registerCoordMetrics wires the shard/requeue/hedge counters into the
-// Prometheus registry (mirrored in /metrics.json below).
-func (co *Coordinator) registerCoordMetrics() {
-	co.reg.GaugeFunc("lttad_coord_workers",
-		"Workers configured behind the coordinator.", nil,
-		func() float64 { return float64(len(co.workers)) })
-	co.reg.GaugeFunc("lttad_coord_workers_alive",
-		"Workers currently probed (or assumed) live.", nil,
-		func() float64 { return float64(co.aliveCount()) })
-	co.reg.GaugeFunc("lttad_coord_circuits",
-		"Circuits registered on the coordinator.", nil,
-		func() float64 { return float64(co.circuitCount()) })
-	co.reg.CounterFunc("lttad_coord_batches_accepted_total",
-		"Batches admitted past the bounded queue.", nil, co.accepted.Load)
-	co.reg.CounterFunc("lttad_coord_batches_rejected_total",
-		"Batches rejected by backpressure.", obs.Labels{"reason": "queue_full"}, co.rejectedFull.Load)
-	co.reg.CounterFunc("lttad_coord_batches_rejected_total",
-		"Batches rejected by backpressure.", obs.Labels{"reason": "draining"}, co.rejectedDrain.Load)
-	co.reg.CounterFunc("lttad_coord_bad_requests_total",
-		"Submissions rejected before admission (parse/validate).", nil, co.badRequests.Load)
-	co.reg.CounterFunc("lttad_coord_streams_total",
-		"Batches served as NDJSON streams.", nil, co.streams.Load)
-	co.reg.CounterFunc("lttad_coord_checks_total",
-		"Terminal check results merged into client responses.", nil, co.checksMerged.Load)
-	co.reg.CounterFunc("lttad_coord_shard_dispatches_total",
-		"Shard dispatches to workers by kind.", obs.Labels{"kind": "primary"}, co.dispatchPrimary.Load)
-	co.reg.CounterFunc("lttad_coord_shard_dispatches_total",
-		"Shard dispatches to workers by kind.", obs.Labels{"kind": "requeue"}, co.dispatchRequeue.Load)
-	co.reg.CounterFunc("lttad_coord_shard_dispatches_total",
-		"Shard dispatches to workers by kind.", obs.Labels{"kind": "hedge"}, co.dispatchHedge.Load)
-	co.reg.CounterFunc("lttad_coord_requeued_checks_total",
-		"Checks requeued off a failed worker onto survivors.", nil, co.requeuedChecks.Load)
-	co.reg.CounterFunc("lttad_coord_hedged_checks_total",
-		"Straggler checks hedged onto a second worker.", nil, co.hedgedChecks.Load)
-	co.requeues = co.reg.CounterVec("lttad_coord_requeues_total",
-		"Checks requeued, by why the previous dispatch failed.", "reason")
-	co.hedges = co.reg.CounterVec("lttad_coord_hedges_total",
-		"Straggler checks hedged, by the dispatch attempt the hedge became.", "attempt")
-	co.reg.Histogram("lttad_coord_check_duration_seconds",
-		"Worker-reported latency of terminal check results merged by this coordinator.",
-		nil, co.checkSeconds, 1e-9)
-	co.reg.CounterFunc("lttad_coord_duplicate_results_dropped_total",
-		"Worker results dropped because the check already had its terminal result.",
-		nil, co.duplicatesDropped.Load)
-	co.reg.CounterFunc("lttad_coord_worker_failures_total",
-		"Dispatch-detected worker failures (alive→dead transitions).", nil, co.workerFailures.Load)
-	co.reg.CounterFunc("lttad_coord_worker_uploads_total",
-		"Circuit uploads pushed to workers.", nil, co.workerUploads.Load)
-	co.reg.CounterFunc("lttad_coord_check_failures_total",
-		"Checks that exhausted every dispatch attempt and reported verdict A.",
-		nil, co.checkFailures.Load)
-	co.reg.CounterFunc("lttad_coord_netlist_parses_total",
-		"Netlist parses performed by the coordinator (uploads and inline checks).",
-		nil, co.netlistParses.Load)
-}
-
-// handleMetricsProm is GET /metrics: the coordinator's Prometheus text
-// exposition (lttad_coord_* plus runtime samples).
-func (co *Coordinator) handleMetricsProm(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	co.reg.WritePrometheus(w)
-	obs.WriteRuntimeProm(w)
-}
-
-// handleDebugChecks is GET /debug/checks on the coordinator: the
-// merged-result flight recorder plus the merge-latency exemplars, the
-// cluster-level half of the introspection a worker's endpoint serves.
-func (co *Coordinator) handleDebugChecks(w http.ResponseWriter, _ *http.Request) {
-	writeDebugChecks(w, co.flight, co.checkSeconds.Exemplars())
-}
-
-// handleMetricsJSON mirrors the same counters as a structured
-// document, the coordinator's /metrics.json.
-func (co *Coordinator) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	m := Metrics{
-		Server: map[string]int64{
-			"coordWorkers":            int64(len(co.workers)),
-			"coordWorkersAlive":       int64(co.aliveCount()),
-			"coordCircuits":           int64(co.circuitCount()),
-			"acceptedBatches":         co.accepted.Load(),
-			"rejectedFull":            co.rejectedFull.Load(),
-			"rejectedDraining":        co.rejectedDrain.Load(),
-			"badRequests":             co.badRequests.Load(),
-			"streams":                 co.streams.Load(),
-			"queuedBatches":           int64(len(co.slots)),
-			"queueDepth":              int64(co.cfg.QueueDepth),
-			"checksMerged":            co.checksMerged.Load(),
-			"shardDispatchesPrimary":  co.dispatchPrimary.Load(),
-			"shardDispatchesRequeue":  co.dispatchRequeue.Load(),
-			"shardDispatchesHedge":    co.dispatchHedge.Load(),
-			"requeuedChecks":          co.requeuedChecks.Load(),
-			"hedgedChecks":            co.hedgedChecks.Load(),
-			"duplicateResultsDropped": co.duplicatesDropped.Load(),
-			"workerFailures":          co.workerFailures.Load(),
-			"workerUploads":           co.workerUploads.Load(),
-			"checkFailures":           co.checkFailures.Load(),
-			"netlistParses":           co.netlistParses.Load(),
-		},
-		Engine: map[string]int64{},
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(m)
 }

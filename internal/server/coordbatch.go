@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
@@ -38,22 +36,10 @@ import (
 // every race: late duplicates from hedges or requeue overlap are
 // counted and dropped, never re-emitted.
 type coordBatch struct {
-	co     *Coordinator
-	entry  *coordEntry
-	req    *Request
-	checks []resolvedCheck
-
-	id  int64
-	log *slog.Logger
-
-	// trace is the batch's completed trace context (id always set; the
-	// coordinator is the admitting tier when the client sent none).
-	// clientTraced records whether the client itself asked for tracing —
-	// worker span summaries are forwarded downstream only then, though
-	// the coordinator always collects them for its own timeline.
-	trace        *api.TraceContext
-	clientTraced bool
-	ct           *obs.ClusterTrace // cluster timeline when CoordConfig.TraceDir is set
+	*job
+	co    *Coordinator
+	entry *coordEntry
+	ct    *obs.ClusterTrace // cluster timeline when CoordConfig.TraceDir is set
 
 	ctx    context.Context // the batch context; checked by the C-requeue rule
 	em     *emitter
@@ -103,6 +89,19 @@ func (u *coordUnit) tried(addr string) bool {
 		}
 	}
 	return false
+}
+
+// execute runs an admitted batch across the cluster. The coordinator
+// is always the admitting tier of the batch's trace; worker span
+// summaries are forwarded downstream only when the client itself
+// asked for tracing, though the coordinator always collects them for
+// its own timeline.
+func (co *Coordinator) execute(ctx context.Context, j *job, em *emitter) (*Response, *apiError) {
+	cb := &coordBatch{job: j, co: co, entry: j.ref.(*coordEntry)}
+	if co.cfg.TraceDir != "" {
+		cb.ct = obs.NewClusterTrace(time.Now())
+	}
+	return cb.run(ctx, em), nil
 }
 
 // run executes the batch against the cluster and assembles the
@@ -190,29 +189,15 @@ func (cb *coordBatch) run(ctx context.Context, em *emitter) *Response {
 }
 
 // writeClusterTrace closes the batch's root span and dumps the cluster
-// timeline to TraceDir/batch-<id>.trace.json.
+// timeline.
 func (cb *coordBatch) writeClusterTrace(ctx context.Context, start time.Time) {
 	if cb.ct == nil {
 		return
 	}
 	cb.ct.Span("coordinator", "batch "+strconv.FormatInt(cb.id, 10),
 		start.UnixMicro(), time.Since(start).Microseconds(),
-		map[string]any{"trace_id": cb.trace.TraceID, "circuit": cb.entry.c.Name})
-	path := filepath.Join(cb.co.cfg.TraceDir, "batch-"+strconv.FormatInt(cb.id, 10)+".trace.json")
-	f, err := os.Create(path)
-	if err == nil {
-		err = cb.ct.WriteTrace(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		cb.log.LogAttrs(ctx, slog.LevelWarn, "cluster trace write failed",
-			slog.String("path", path), slog.String("error", err.Error()))
-		return
-	}
-	cb.log.LogAttrs(ctx, slog.LevelInfo, "cluster trace written",
-		slog.String("path", path), slog.Int("events", cb.ct.Len()))
+		map[string]any{"trace_id": cb.trace.TraceID, "circuit": cb.c.Name})
+	cb.writeTrace(ctx, cb.co.cfg.TraceDir, cb.ct)
 }
 
 func (cb *coordBatch) logDone(ctx context.Context, start time.Time) {
@@ -408,7 +393,7 @@ func (cb *coordBatch) workerSpans(shard []*coordUnit, sum *api.SpanSummary, work
 			map[string]any{"trace_id": sum.TraceID, "span_id": sum.SpanID,
 				"verdict": sum.Verdict, "attempt": sum.Attempt})
 	}
-	if cb.clientTraced {
+	if cb.req.Trace != nil {
 		fwd := *sum
 		fwd.Index = u.emitIndex // immutable after buildUnits; shard index → client index
 		if fwd.Worker == "" {
