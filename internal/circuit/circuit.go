@@ -56,6 +56,7 @@ type Circuit struct {
 
 	topoGates []GateID // gates in topological (fanin-first) order
 	netLevel  []int32  // levelisation: PI nets at 0, net level = 1+max(input levels) of driver
+	byLevel   []NetID  // nets by decreasing level, ties by increasing id
 }
 
 // NumNets returns the number of nets.
@@ -90,6 +91,12 @@ func (c *Circuit) TopoGates() []GateID { return c.topoGates }
 // 0 and a driven net is one more than the maximum level of its driver's
 // inputs.
 func (c *Circuit) Level(n NetID) int { return int(c.netLevel[n]) }
+
+// NetsByLevel returns every net ordered by decreasing level, ties by
+// increasing id: a reverse-topological order in which each gate output
+// precedes its inputs. Filtering it yields any net subset in that
+// order without sorting. The slice is shared and must not be modified.
+func (c *Circuit) NetsByLevel() []NetID { return c.byLevel }
 
 // MaxLevel returns the largest net level in the circuit.
 func (c *Circuit) MaxLevel() int {
@@ -278,6 +285,24 @@ func (c *Circuit) computeTopo() error {
 			c.netLevel[g.Output] = lvl
 		}
 	}
+	// Counting sort by level, deepest first; placing nets in increasing
+	// id order keeps ties in id order.
+	maxLvl := int32(0)
+	for _, l := range c.netLevel {
+		maxLvl = max(maxLvl, l)
+	}
+	next := make([]int32, maxLvl+2)
+	for _, l := range c.netLevel {
+		next[maxLvl-l+1]++
+	}
+	for i := 1; i < len(next); i++ {
+		next[i] += next[i-1]
+	}
+	c.byLevel = make([]NetID, len(c.nets))
+	for n, l := range c.netLevel {
+		c.byLevel[next[maxLvl-l]] = NetID(n)
+		next[maxLvl-l]++
+	}
 	return nil
 }
 
@@ -326,13 +351,14 @@ func (c *Circuit) TransitiveFanout(n NetID) []bool {
 // nets with fanout ≥ 2 from which at least one net is reachable along
 // two edge-disjoint first hops (i.e. reachable from two different
 // fanout branches). They are the stems subjected to stem correlation in
-// Section 5 of the paper.
+// Section 5 of the paper, returned in NetsByLevel order (deepest
+// first), the order stem correlation splits them in.
 func (c *Circuit) ReconvergentStems() []NetID {
 	var stems []NetID
 	reach := make([]int32, len(c.nets)) // visit stamp per net
 	stamp := int32(0)
-	for i := range c.nets {
-		n := &c.nets[i]
+	for _, id := range c.byLevel {
+		n := &c.nets[id]
 		if len(n.Fanout) < 2 {
 			continue
 		}

@@ -1,6 +1,8 @@
 package circuit
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -146,6 +148,35 @@ func TestLevels(t *testing.T) {
 	}
 	if c.MaxLevel() != 3 {
 		t.Fatalf("MaxLevel = %d", c.MaxLevel())
+	}
+	checkNetsByLevel(t, c)
+}
+
+// byLevel orders nets by level descending, then id ascending.
+func byLevel(c *Circuit) func(a, b NetID) int {
+	return func(a, b NetID) int {
+		if la, lb := c.Level(a), c.Level(b); la != lb {
+			return cmp.Compare(lb, la)
+		}
+		return cmp.Compare(a, b)
+	}
+}
+
+// checkNetsByLevel compares the precomputed level order with a
+// comparison sort by (level descending, id ascending), and checks that
+// ReconvergentStems follows it.
+func checkNetsByLevel(t testing.TB, c *Circuit) {
+	t.Helper()
+	want := make([]NetID, c.NumNets())
+	for i := range want {
+		want[i] = NetID(i)
+	}
+	slices.SortFunc(want, byLevel(c))
+	if got := c.NetsByLevel(); !slices.Equal(got, want) {
+		t.Fatalf("NetsByLevel = %v, want %v", got, want)
+	}
+	if stems := c.ReconvergentStems(); !slices.IsSortedFunc(stems, byLevel(c)) {
+		t.Fatalf("ReconvergentStems = %v, not in NetsByLevel order", stems)
 	}
 }
 

@@ -20,6 +20,7 @@ func FuzzReadBench(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkNetsByLevel(t, c)
 		out := BenchString(c)
 		c2, err := ParseBenchString(out, BenchOptions{DefaultDelay: 9})
 		if err != nil {

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/constraint"
@@ -36,7 +37,9 @@ type decision struct {
 // context or deadline fires. rep.Backtracks and rep.Witness are filled
 // in.
 func (v *Verifier) caseAnalysis(rs *runState, sys *constraint.System, sink circuit.NetID, delta waveform.Time, rep *Report) Result {
-	var stack []decision
+	sc := rs.search()
+	stack := sc.stack[:0]
+	defer func() { sc.stack = stack[:0] }()
 	rep.Backtracks = 0
 
 	// unwind closes every decision level still open. Exhausted searches
@@ -95,14 +98,15 @@ func (v *Verifier) caseAnalysis(rs *runState, sys *constraint.System, sink circu
 			continue
 		}
 		// Consistent at fixpoint: decide the next net.
-		net, val, ok := v.pickDecision(sys, sink, delta)
+		net, val, ok := v.pickDecision(rs, sys, sink, delta)
 		if !ok {
 			// Every primary input is classed: candidate vector.
-			vec := v.extractVector(sys)
-			r, err := sim.Run(v.c, vec)
-			if err == nil && r.Settle[sink] >= delta {
-				rep.Witness = vec
-				rep.WitnessSettle = r.Settle[sink]
+			vec := v.extractVector(sys, sc.vec)
+			sc.vec = vec
+			err := sc.sim.Run(v.c, vec)
+			if err == nil && sc.sim.Settle[sink] >= delta {
+				rep.Witness = slices.Clone(vec)
+				rep.WitnessSettle = sc.sim.Settle[sink]
 				unwind() // after extraction: the vector needs the decided domains
 				return ViolationFound
 			}
@@ -123,10 +127,11 @@ func (v *Verifier) caseAnalysis(rs *runState, sys *constraint.System, sink circu
 	}
 }
 
-// extractVector reads the decided class of every primary input.
-func (v *Verifier) extractVector(sys *constraint.System) sim.Vector {
+// extractVector reads the decided class of every primary input into
+// vec, resized to the input count.
+func (v *Verifier) extractVector(sys *constraint.System, vec sim.Vector) sim.Vector {
 	pis := v.c.PrimaryInputs()
-	vec := make(sim.Vector, len(pis))
+	vec = slices.Grow(vec[:0], len(pis))[:len(pis)]
 	for i, pi := range pis {
 		if val, ok := sys.Domain(pi).KnownValue(); ok {
 			vec[i] = val
@@ -147,127 +152,102 @@ type objective struct {
 
 // pickDecision selects the next decision net and class, following the
 // paper's phase structure. It returns ok = false when all primary
-// inputs are already single-class.
-func (v *Verifier) pickDecision(sys *constraint.System, sink circuit.NetID, delta waveform.Time) (circuit.NetID, int, bool) {
-	carrier, dist := dom.DynamicCarriers(sys, sink, delta)
+// inputs are already single-class. It reads the dynamic carriers and
+// dominators of evaluate's last round from the run scratch (they
+// describe the current domains; see searchScratch), recomputing the
+// carriers only when evaluate does not compute them.
+func (v *Verifier) pickDecision(rs *runState, sys *constraint.System, sink circuit.NetID, delta waveform.Time) (circuit.NetID, int, bool) {
+	sc := rs.search()
+	if !v.opts.UseDominators {
+		sc.dom.Carriers(sys, sink, delta)
+	}
+	carrier, dist := sc.dom.Mask, sc.dom.Dist
 
 	// Phase 1: sensitising objectives on the non-carrier inputs of
 	// gates in the dynamic-carrier circuit, dominator segment by
 	// dominator segment, longest potential path first.
-	for _, o := range v.initialObjectives(sys, sink, delta, carrier, dist) {
+	for _, o := range v.initialObjectives(sc, sys) {
 		if n, val, ok := v.backtrace(sys, o.net, o.val); ok {
 			return n, val, true
 		}
 	}
 
-	// Phase 2: decisions on the whole circuit — undecided reconvergent
-	// fanout stems inside the carrier circuit, deepest first (the
-	// profound-effect nets the paper's modified FAN splits on).
-	var stems []objective
-	for _, stem := range v.stems {
-		if !carrier[stem] {
+	// Phase 2: decisions on the whole circuit — the undecided
+	// reconvergent fanout stem inside the carrier circuit with the
+	// largest dynamic distance, lowest id on ties (the profound-effect
+	// nets the paper's modified FAN splits on).
+	stem := circuit.InvalidNet
+	for _, s := range v.stems {
+		if !carrier[s] {
 			continue
 		}
-		d := sys.Domain(stem)
-		if _, known := d.KnownValue(); known {
+		if _, known := sys.Domain(s).KnownValue(); known {
 			continue
 		}
-		stems = append(stems, objective{net: stem, weight: dist[stem]})
+		if stem == circuit.InvalidNet || dist[s] > dist[stem] || (dist[s] == dist[stem] && s < stem) {
+			stem = s
+		}
 	}
-	sort.Slice(stems, func(i, j int) bool {
-		if stems[i].weight != stems[j].weight {
-			return stems[i].weight > stems[j].weight
-		}
-		return stems[i].net < stems[j].net
-	})
-	for _, o := range stems {
-		d := sys.Domain(o.net)
-		val := 0
-		if d.W0.IsEmpty() || (!d.W1.IsEmpty() && v.cc.Cost(o.net, 1) < v.cc.Cost(o.net, 0)) {
-			val = 1
-		}
-		return o.net, val, true
+	if stem != circuit.InvalidNet {
+		return stem, v.preferredClass(sys, stem), true
 	}
 
 	// Phase 3: complete backtrace from unjustified nets — outputs whose
 	// class is decided but not yet justified by their inputs — down to
-	// primary inputs; then any leftover undecided primary input,
-	// cheapest controllability first.
-	for _, u := range v.unjustified(sys) {
-		if n, val, ok := v.backtrace(sys, u.net, u.val); ok {
-			return n, val, true
-		}
-	}
-	type piCand struct {
-		n    circuit.NetID
-		cost int64
-	}
-	var cands []piCand
-	for _, pi := range v.c.PrimaryInputs() {
-		if _, known := sys.Domain(pi).KnownValue(); !known {
-			cost := v.cc.Cost(pi, 0)
-			if c1 := v.cc.Cost(pi, 1); c1 < cost {
-				cost = c1
+	// primary inputs, deepest first (justification decisions near the
+	// output constrain the most); then the leftover undecided primary
+	// input of cheapest controllability, lowest id on ties.
+	for _, n := range v.c.NetsByLevel() {
+		if val, ok := v.unjustified(sys, n); ok {
+			if d, dval, ok := v.backtrace(sys, n, val); ok {
+				return d, dval, true
 			}
-			cands = append(cands, piCand{pi, cost})
 		}
 	}
-	if len(cands) == 0 {
+	pi := circuit.InvalidNet
+	var best int64
+	for _, x := range v.c.PrimaryInputs() {
+		if _, known := sys.Domain(x).KnownValue(); known {
+			continue
+		}
+		cost := min(v.cc.Cost(x, 0), v.cc.Cost(x, 1))
+		if pi == circuit.InvalidNet || cost < best || (cost == best && x < pi) {
+			pi, best = x, cost
+		}
+	}
+	if pi == circuit.InvalidNet {
 		return circuit.InvalidNet, 0, false
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].cost != cands[j].cost {
-			return cands[i].cost < cands[j].cost
-		}
-		return cands[i].n < cands[j].n
-	})
-	pi := cands[0].n
-	// Prefer the class that keeps the carrier paths sensitised: choose
-	// the one whose wave is non-empty with the later bound.
-	d := sys.Domain(pi)
-	val := 0
-	if d.W0.IsEmpty() || (!d.W1.IsEmpty() && v.cc.Cost(pi, 1) < v.cc.Cost(pi, 0)) {
-		val = 1
-	}
-	return pi, val, true
+	return pi, v.preferredClass(sys, pi), true
 }
 
-// unjustifiedGoal is a decided-but-unjustified gate output with its
-// decided class, used as a Phase-3 backtrace objective.
-type unjustifiedGoal struct {
-	net circuit.NetID
-	val int
+// preferredClass picks the class to try first on an undecided net: 1
+// when class 0 is impossible or class 1 is cheaper to control, else 0.
+func (v *Verifier) preferredClass(sys *constraint.System, n circuit.NetID) int {
+	d := sys.Domain(n)
+	if d.W0.IsEmpty() || (!d.W1.IsEmpty() && v.cc.Cost(n, 1) < v.cc.Cost(n, 0)) {
+		return 1
+	}
+	return 0
 }
 
-// unjustified finds gate outputs whose domain is restricted to one
-// class while the gate's inputs do not yet force that class — the
-// paper's Phase-3 sources. A gate output with class v is justified when
-// either some input is pinned to a controlling value producing v, or
-// every input is pinned non-controlling and v is the resulting value
-// (with the parity/unate analogues).
-func (v *Verifier) unjustified(sys *constraint.System) []unjustifiedGoal {
-	var out []unjustifiedGoal
-	for i := 0; i < v.c.NumGates(); i++ {
-		g := v.c.Gate(circuit.GateID(i))
-		val, known := sys.Domain(g.Output).KnownValue()
-		if !known {
-			continue
-		}
-		if v.justified(sys, g, val) {
-			continue
-		}
-		out = append(out, unjustifiedGoal{net: g.Output, val: val})
+// unjustified reports whether net n is a gate output whose domain is
+// restricted to one class (returned as val) while the gate's inputs do
+// not yet force that class — a Phase-3 source. A gate output with
+// class v is justified when either some input is pinned to a
+// controlling value producing v, or every input is pinned
+// non-controlling and v is the resulting value (with the parity/unate
+// analogues).
+func (v *Verifier) unjustified(sys *constraint.System, n circuit.NetID) (val int, ok bool) {
+	drv := v.c.Net(n).Driver
+	if drv == circuit.InvalidGate {
+		return 0, false
 	}
-	// Deepest first: justification decisions near the output constrain
-	// the most.
-	sort.Slice(out, func(i, j int) bool {
-		li, lj := v.c.Level(out[i].net), v.c.Level(out[j].net)
-		if li != lj {
-			return li > lj
-		}
-		return out[i].net < out[j].net
-	})
-	return out
+	val, known := sys.Domain(n).KnownValue()
+	if !known || v.justified(sys, v.c.Gate(drv), val) {
+		return 0, false
+	}
+	return val, true
 }
 
 // justified reports whether the decided output class of gate g is
@@ -315,11 +295,13 @@ func (v *Verifier) justified(sys *constraint.System, g *circuit.Gate, val int) b
 // dynamic carriers should take the non-controlling value of the gate
 // they feed (sensitising the paths inside Ψ). Objectives are weighted
 // by the dynamic distance of the carrier output (favouring long paths)
-// and grouped by dominator segment.
-func (v *Verifier) initialObjectives(sys *constraint.System, sink circuit.NetID, delta waveform.Time, carrier []bool, dist []waveform.Time) []objective {
+// and grouped by dominator segment. The carriers, distances and
+// dominators come from sc (see pickDecision); the result is sc.objs.
+func (v *Verifier) initialObjectives(sc *searchScratch, sys *constraint.System) []objective {
+	carrier, dist := sc.dom.Mask, sc.dom.Dist
 	var doms dom.Dominators
 	if v.opts.UseDominators {
-		doms = dom.FromCarriers(v.c, carrier, dist, sink)
+		doms = sc.doms
 	}
 	segOf := func(n circuit.NetID) int {
 		// Segment i covers nets at levels between dominator i+1
@@ -335,9 +317,10 @@ func (v *Verifier) initialObjectives(sys *constraint.System, sink circuit.NetID,
 		}
 		return 0
 	}
-	var objs []objective
-	seen := make(map[circuit.NetID]bool)
-	for n := 0; n < v.c.NumNets(); n++ {
+	objs := sc.objs[:0]
+	nn := v.c.NumNets()
+	seen := slices.Grow(sc.seen[:0], nn)[:nn]
+	for n := 0; n < nn; n++ {
 		if !carrier[n] {
 			continue
 		}
@@ -367,14 +350,19 @@ func (v *Verifier) initialObjectives(sys *constraint.System, sink circuit.NetID,
 			})
 		}
 	}
-	sort.Slice(objs, func(i, j int) bool {
-		if objs[i].seg != objs[j].seg {
-			return objs[i].seg < objs[j].seg
+	for _, o := range objs {
+		seen[o.net] = false
+	}
+	sc.objs, sc.seen = objs, seen
+	// A total order (nets are unique), so any sort gives one result.
+	slices.SortFunc(objs, func(a, b objective) int {
+		if a.seg != b.seg {
+			return cmp.Compare(a.seg, b.seg)
 		}
-		if objs[i].weight != objs[j].weight {
-			return objs[i].weight > objs[j].weight
+		if a.weight != b.weight {
+			return cmp.Compare(b.weight, a.weight)
 		}
-		return objs[i].net < objs[j].net
+		return cmp.Compare(a.net, b.net)
 	})
 	return objs
 }

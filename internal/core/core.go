@@ -7,7 +7,7 @@ package core
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -161,7 +161,7 @@ type Verifier struct {
 	analysis *delay.Analysis
 	cc       *scoap.Controllability
 	table    *learn.Table    // nil unless UseLearning
-	stems    []circuit.NetID // cached reconvergent fanout stems
+	stems    []circuit.NetID // cached reconvergent fanout stems, in level order
 
 	coneMu sync.Mutex
 	cones  map[circuit.NetID]*coneVerifier // guarded by coneMu
@@ -276,10 +276,12 @@ func (v *Verifier) evaluate(rs *runState, sys *constraint.System, sink circuit.N
 			}
 		}
 		if v.opts.UseDominators {
-			doms := dom.Dynamic(sys, sink, delta)
+			sc := rs.search()
+			doms := sc.dom.Dynamic(sys, sink, delta)
+			sc.doms = doms
 			if rep.Dominators == 0 {
 				rep.Dominators = len(doms.Nets)
-				rep.DominatorSet = doms
+				rep.DominatorSet = doms.Clone()
 			}
 			narrowed := dom.NarrowDominators(sys, doms, delta)
 			if narrowed {
@@ -311,30 +313,36 @@ func (v *Verifier) evaluate(rs *runState, sys *constraint.System, sink circuit.N
 // reconvergent branches, are only refutable this way). The widening is
 // sound (each branch evaluation is) and only costs extra splits.
 func (v *Verifier) stemCorrelation(rs *runState, sys *constraint.System, sink circuit.NetID, delta waveform.Time, rep *Report) Result {
-	allStems := v.stems
-	if len(allStems) == 0 {
+	if len(v.stems) == 0 {
 		return PossibleViolation
 	}
-	carrier, _ := dom.DynamicCarriers(sys, sink, delta)
-	influence := influenceMask(v.c, carrier)
-	// Order: carrier stems first (the paper's criterion), then
-	// side-condition stems; deepest first within each group. A budget
-	// caps the splits so wide circuits stay tractable.
-	stems := append([]circuit.NetID(nil), allStems...)
-	sort.Slice(stems, func(i, j int) bool {
-		ci, cj := carrier[stems[i]], carrier[stems[j]]
-		if ci != cj {
-			return ci
-		}
-		li, lj := v.c.Level(stems[i]), v.c.Level(stems[j])
-		if li != lj {
-			return li > lj
-		}
-		return stems[i] < stems[j]
-	})
-	splits := 0
+	sc := rs.search()
 	n := v.c.NumNets()
-	branch := make([]waveform.Signal, n)
+	sc.dom.Carriers(sys, sink, delta)
+	carrier := sc.dom.Mask
+	influence := influenceMask(v.c, carrier, slices.Grow(sc.influence[:0], n)[:n])
+	sc.influence = influence
+	// Order: carrier stems first (the paper's criterion), then
+	// side-condition stems; deepest first within each group (v.stems
+	// is in level order). A budget caps the splits so wide circuits
+	// stay tractable.
+	stems := sc.stems[:0]
+	for _, s := range v.stems {
+		if carrier[s] {
+			stems = append(stems, s)
+		}
+	}
+	for _, s := range v.stems {
+		if !carrier[s] {
+			stems = append(stems, s)
+		}
+	}
+	sc.stems = stems
+	splits := 0
+	// Every branch entry is written before it is read, so the reused
+	// buffer needs no clearing.
+	branch := slices.Grow(sc.branch[:0], n)[:n]
+	sc.branch = branch
 	for _, stem := range stems {
 		if !influence[stem] {
 			continue
@@ -407,16 +415,15 @@ func (v *Verifier) stemCorrelation(rs *runState, sys *constraint.System, sink ci
 			return res
 		}
 		// Refresh carrier information for subsequent stems.
-		carrier, _ = dom.DynamicCarriers(sys, sink, delta)
-		influence = influenceMask(v.c, carrier)
+		sc.dom.Carriers(sys, sink, delta)
+		influenceMask(v.c, sc.dom.Mask, influence)
 	}
 	return PossibleViolation
 }
 
-// influenceMask marks nets whose transitive fanout (including the net
-// itself) contains a carrier net.
-func influenceMask(c *circuit.Circuit, carrier []bool) []bool {
-	inf := make([]bool, len(carrier))
+// influenceMask marks in inf (len == len(carrier)) the nets whose
+// transitive fanout (including the net itself) contains a carrier net.
+func influenceMask(c *circuit.Circuit, carrier, inf []bool) []bool {
 	copy(inf, carrier)
 	topo := c.TopoGates()
 	for i := len(topo) - 1; i >= 0; i-- {

@@ -27,7 +27,7 @@ type Prepared struct {
 	c        *circuit.Circuit
 	analysis *delay.Analysis
 	cc       *scoap.Controllability
-	stems    []circuit.NetID
+	stems    []circuit.NetID // reconvergent stems in NetsByLevel order
 
 	learnOnce sync.Once
 	learn     *learn.Table
@@ -87,7 +87,7 @@ type conePrep struct {
 
 	analysis *delay.Analysis
 	cc       *scoap.Controllability
-	stems    []circuit.NetID
+	stems    []circuit.NetID // in the cone's NetsByLevel order
 
 	learnOnce sync.Once
 	learn     *learn.Table
@@ -136,9 +136,11 @@ func (cp *conePrep) build(p *Prepared, sink circuit.NetID) {
 	// Restrict the original circuit's reconvergent stems to the cone
 	// instead of recomputing them on the slice: reconvergence seen by
 	// the whole circuit may run through gates outside the cone, and
-	// using the same candidate set (in the same id order) keeps stem
+	// using the same candidate set (in the same order) keeps stem
 	// selection, split budgets, and split order aligned with
-	// whole-circuit solving.
+	// whole-circuit solving. The cone keeps every net's level and the
+	// order of ids, so the filtered stems stay in the cone's
+	// NetsByLevel order.
 	for _, s := range p.stems {
 		if id := cm.ToCone[s]; id != circuit.InvalidNet {
 			cp.stems = append(cp.stems, id)
@@ -227,7 +229,11 @@ func (v *Verifier) runCone(ctx context.Context, req Request, cv *coneVerifier) *
 		}
 		rep.Witness = w
 	}
-	rep.DominatorSet = rep.DominatorSet.MapNets(cv.cm.FromCone)
+	// The report owns its dominator set (evaluate copies it out of the
+	// run scratch), so it is translated in place.
+	for i, n := range rep.DominatorSet.Nets {
+		rep.DominatorSet.Nets[i] = cv.cm.FromCone[n]
+	}
 	if outer != nil {
 		outer.CheckDone(rep)
 	}

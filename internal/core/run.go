@@ -10,6 +10,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/constraint"
 	"repro/internal/dom"
+	"repro/internal/sim"
 	"repro/internal/waveform"
 )
 
@@ -88,6 +89,43 @@ type runState struct {
 
 	cancelled bool // context cancelled or deadline exceeded
 	exhausted bool // propagation budget exhausted
+
+	// scratch is built by the first search() call and survives
+	// initRunState, so an arena's runState carries it across checks.
+	scratch *searchScratch
+}
+
+// searchScratch is the reusable working storage of one check's global
+// implications, stem correlation and case analysis: the dominator
+// scratch and the per-node buffers of the decision picker. It belongs
+// to the check's runState, is never shared between goroutines, and
+// nothing in it may be referenced from a Report — reports copy what
+// they keep.
+type searchScratch struct {
+	dom dom.Scratch
+	// doms is the dominator set of evaluate's last round (it aliases
+	// dom). With UseDominators, evaluate returns PossibleViolation only
+	// after a round that changed no domain, so doms, dom.Mask and
+	// dom.Dist still describe the domains the decision picker sees.
+	doms dom.Dominators
+
+	influence []bool
+	branch    []waveform.Signal
+	stems     []circuit.NetID
+	objs      []objective
+	seen      []bool // all false between initialObjectives calls
+	stack     []decision
+	vec       sim.Vector
+	sim       sim.Result
+}
+
+// search returns the check's scratch, building it on first use so
+// checks decided by stage 1 allocate none.
+func (rs *runState) search() *searchScratch {
+	if rs.scratch == nil {
+		rs.scratch = new(searchScratch)
+	}
+	return rs.scratch
 }
 
 // resolveBudget merges a request budget with the Options default:
@@ -107,6 +145,7 @@ func (v *Verifier) initRunState(rs *runState, ctx context.Context, req *Request)
 		maxBack:   resolveBudget(req.Budgets.MaxBacktracks, v.opts.MaxBacktracks),
 		maxSplits: resolveBudget(req.Budgets.MaxStemSplits, v.opts.MaxStemSplits),
 		tracer:    req.Tracer,
+		scratch:   rs.scratch,
 	}
 	if req.Budgets.MaxPropagations > 0 {
 		rs.maxProps = req.Budgets.MaxPropagations

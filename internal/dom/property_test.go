@@ -140,7 +140,9 @@ func TestDynamicCarriersSubsetOfStatic(t *testing.T) {
 			continue
 		}
 		static := StaticCarriers(c, a, sink, delta)
-		dynamic, _ := DynamicCarriers(sys, sink, delta)
+		var sc Scratch
+		sc.Carriers(sys, sink, delta)
+		dynamic := sc.Mask
 		for n := 0; n < c.NumNets(); n++ {
 			if dynamic[n] && !static[n] {
 				t.Fatalf("seed %d: net %s dynamic carrier but not static",

@@ -43,7 +43,12 @@ func startClusterWorker(t *testing.T, cfg server.Config) *clusterWorker {
 	s := server.New(cfg)
 	hs := &http.Server{Handler: s}
 	go func() { _ = hs.Serve(lis) }()
-	return &clusterWorker{addr: "http://" + lis.Addr().String(), s: s, hs: hs}
+	w := &clusterWorker{addr: "http://" + lis.Addr().String(), s: s, hs: hs}
+	// Return only once the warm-up canary has run: a coordinator whose
+	// first probe finds a worker still starting routes around it for a
+	// whole probe interval.
+	waitReady(t, client.New(w.addr))
+	return w
 }
 
 // kill cuts the worker off the network mid-flight: the listener and

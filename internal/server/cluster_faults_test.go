@@ -419,3 +419,102 @@ func TestClusterHedgeStragglers(t *testing.T) {
 		t.Errorf("hedging produced %d failed checks", m.Server["checkFailures"])
 	}
 }
+
+// TestClusterStartupBatchUsesEveryWorker: a batch that arrives while
+// the coordinator's first probe round still waits on one worker's
+// /readyz must be placed over every worker that answers the round, not
+// only over those whose probes came back first.
+func TestClusterStartupBatchUsesEveryWorker(t *testing.T) {
+	e := suiteCircuit(t, "c880")
+	bench := circuit.BenchString(e.Circuit)
+	local, err := circuit.ParseBenchString(bench, circuit.BenchOptions{DefaultDelay: 10, Name: "c880"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas := []int64{int64(delay.New(local).Topological())}
+
+	fast := startClusterWorker(t, server.Config{Workers: 2, QueueDepth: 4})
+	defer fast.stop()
+	held := startClusterWorker(t, server.Config{Workers: 2, QueueDepth: 4})
+	defer held.stop()
+
+	// The held worker's /readyz answers only once released; everything
+	// else passes straight through.
+	u, err := url.Parse(held.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := httputil.NewSingleHostReverseProxy(u)
+	rp.ErrorLog = log.New(io.Discard, "", 0)
+	probed, release := make(chan struct{}), make(chan struct{})
+	var probedOnce, releaseOnce sync.Once
+	releaseProbe := func() { releaseOnce.Do(func() { close(release) }) }
+	gate := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/readyz") {
+			probedOnce.Do(func() { close(probed) })
+			<-release
+		}
+		rp.ServeHTTP(w, r)
+	}))
+	defer gate.Close()
+
+	addrs := []string{fast.addr, gate.URL}
+	co := server.NewCoordinator(server.CoordConfig{
+		Workers: addrs, QueueDepth: 4, HedgeAfter: -1,
+		ProbeInterval: -1, ProbeTimeout: 10 * time.Second,
+	})
+	cts := httptest.NewServer(co)
+	defer cts.Close()
+	defer func() { _ = co.Shutdown(context.Background()) }()
+	defer releaseProbe() // before Shutdown, which waits for the probe round
+	coordCl := client.New(cts.URL)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	select {
+	case <-probed:
+	case <-ctx.Done():
+		t.Fatal("the coordinator never probed the held worker")
+	}
+	for {
+		m, err := coordCl.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Server["coordWorkersAlive"] == 1 {
+			break // the fast worker's probe is back, the held one's is not
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	hash, err := coordCl.Upload(ctx, bench, client.UploadOptions{Name: "c880"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := server.NewShardRouter(addrs)
+	owned := 0
+	for _, po := range local.PrimaryOutputs() {
+		if w, _ := router.Assign(server.ShardKey{Hash: string(hash), Sink: local.Net(po).Name}); w == gate.URL {
+			owned++
+		}
+	}
+	if owned == 0 {
+		t.Skip("rendezvous hashing gave the held worker no sink of this circuit")
+	}
+
+	time.AfterFunc(200*time.Millisecond, releaseProbe)
+	resp, err := coordCl.CheckByHash(ctx, hash, server.Request{Sweep: &server.SweepSpec{Deltas: deltas}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := map[string]int{}
+	for _, sw := range resp.Sweeps {
+		for _, pr := range sw.PerOutput {
+			ran[pr.Worker]++
+		}
+	}
+	if ran[gate.URL] != owned {
+		t.Errorf("the held worker ran %d of the %d sinks it owns (placement %v): the batch was placed before the start-up probe round finished",
+			ran[gate.URL], owned, ran)
+	}
+}

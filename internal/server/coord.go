@@ -112,6 +112,7 @@ type Coordinator struct {
 
 	probeStop context.CancelFunc
 	probeDone chan struct{}
+	probed    chan struct{} // closed when the first probe round has finished
 
 	requeues *obs.CounterVec // lttad_coord_requeues_total by reason
 	hedges   *obs.CounterVec // lttad_coord_hedges_total by attempt
@@ -215,6 +216,7 @@ func NewCoordinator(cfg CoordConfig) *Coordinator {
 	probeCtx, stop := context.WithCancel(co.baseCtx)
 	co.probeStop = stop
 	co.probeDone = make(chan struct{})
+	co.probed = make(chan struct{})
 	go co.probeLoop(probeCtx)
 	return co
 }
@@ -227,6 +229,7 @@ func NewCoordinator(cfg CoordConfig) *Coordinator {
 func (co *Coordinator) probeLoop(ctx context.Context) {
 	defer close(co.probeDone)
 	co.probeAll(ctx)
+	close(co.probed)
 	if co.cfg.ProbeInterval < 0 {
 		<-ctx.Done()
 		return
@@ -275,11 +278,18 @@ func (co *Coordinator) aliveCount() int {
 	return n
 }
 
-// aliveWorkers returns the addresses currently believed live. When
-// none are (cold start, or every worker just failed), one synchronous
-// probe round runs first so a batch arriving right after startup —or
-// right after a mass restart — still finds its cluster.
+// aliveWorkers returns the addresses currently believed live. It first
+// waits for the start-up probe round to finish (bounded by
+// ProbeTimeout), so a batch arriving during that round is placed over
+// every worker that answers it, not just those whose probes returned
+// first. When none are live (every worker down, or every worker just
+// failed), one synchronous probe round runs so a batch arriving right
+// after a mass restart still finds its cluster.
 func (co *Coordinator) aliveWorkers(ctx context.Context) []string {
+	select {
+	case <-co.probed:
+	case <-ctx.Done():
+	}
 	collect := func() []string {
 		var out []string
 		for _, w := range co.workers {

@@ -49,21 +49,34 @@ type Result struct {
 // because the output of a gate locks d after any input locks at a
 // controlling value, and at the latest d after all inputs lock.
 func Run(c *circuit.Circuit, v Vector) (*Result, error) {
+	r := new(Result)
+	if err := r.Run(c, v); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Run is the package-level Run into r, reusing r's per-net slices when
+// they are large enough — for callers that simulate many vectors. r is
+// overwritten; on error its contents are unspecified.
+func (r *Result) Run(c *circuit.Circuit, v Vector) error {
 	pis := c.PrimaryInputs()
 	if len(v) != len(pis) {
-		return nil, fmt.Errorf("sim: vector has %d bits for %d primary inputs", len(v), len(pis))
+		return fmt.Errorf("sim: vector has %d bits for %d primary inputs", len(v), len(pis))
 	}
-	r := &Result{
-		c:      c,
-		Value:  make([]int, c.NumNets()),
-		Settle: make([]waveform.Time, c.NumNets()),
+	r.c = c
+	if cap(r.Value) < c.NumNets() {
+		r.Value = make([]int, c.NumNets())
+		r.Settle = make([]waveform.Time, c.NumNets())
 	}
+	r.Value, r.Settle = r.Value[:c.NumNets()], r.Settle[:c.NumNets()]
 	for i := range r.Value {
 		r.Value[i] = -1
+		r.Settle[i] = 0
 	}
 	for i, pi := range pis {
 		if v[i] != 0 && v[i] != 1 {
-			return nil, fmt.Errorf("sim: vector bit %d is %d, want 0 or 1", i, v[i])
+			return fmt.Errorf("sim: vector bit %d is %d, want 0 or 1", i, v[i])
 		}
 		r.Value[pi] = v[i]
 		r.Settle[pi] = 0
@@ -92,7 +105,7 @@ func Run(c *circuit.Circuit, v Vector) (*Result, error) {
 		}
 		r.Settle[g.Output] = st.Add(waveform.Time(g.Delay))
 	}
-	return r, nil
+	return nil
 }
 
 // OutputSettle returns the settle time of the given net (usually a

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -104,6 +105,33 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, err := Run(c, Vector{1, 2, 0}); err == nil {
 		t.Fatal("non-binary bit must error")
+	}
+}
+
+// TestResultRunReuse pins that simulating into one reused Result —
+// across circuits of decreasing and increasing size, and after a
+// rejected vector — gives exactly what a fresh Run gives.
+func TestResultRunReuse(t *testing.T) {
+	var r Result
+	for _, n := range []int{20, 6, 14, 3, 20} {
+		c := randomCircuit(t, int64(n), 4, n)
+		if err := r.Run(c, Vector{1, 2, 0, 1}); err == nil {
+			t.Fatal("non-binary bit must error")
+		}
+		for bits := 0; bits < 16; bits++ {
+			v := Vector{bits & 1, (bits >> 1) & 1, (bits >> 2) & 1, (bits >> 3) & 1}
+			want, err := Run(c, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Run(c, v); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(r.Value, want.Value) || !slices.Equal(r.Settle, want.Settle) {
+				t.Fatalf("%d gates, vector %s: reused result %v/%v, fresh %v/%v",
+					n, v, r.Value, r.Settle, want.Value, want.Settle)
+			}
+		}
 	}
 }
 
