@@ -29,7 +29,7 @@ func BenchmarkFig1Example2Refute(b *testing.B) {
 	v := core.NewVerifier(c, core.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if v.Check(s, 61).Final != core.NoViolation {
+		if v.Run(context.Background(), core.Request{Sink: s, Delta: 61}).Final != core.NoViolation {
 			b.Fatal("δ=61 must be refuted")
 		}
 	}
@@ -41,7 +41,7 @@ func BenchmarkFig1Example2Witness(b *testing.B) {
 	v := core.NewVerifier(c, core.Default())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if v.Check(s, 60).Final != core.ViolationFound {
+		if v.Run(context.Background(), core.Request{Sink: s, Delta: 60}).Final != core.ViolationFound {
 			b.Fatal("δ=60 must be witnessed")
 		}
 	}
@@ -53,13 +53,13 @@ func BenchmarkFig23CarrySkipDominators(b *testing.B) {
 	c := gen.CarrySkipAdder(8, 4, 10)
 	cout, _ := c.NetByName("cout")
 	v := core.NewVerifier(c, core.Default())
-	res, err := v.ExactFloatingDelay(cout)
+	res, err := v.ExactFloatingDelayCtx(context.Background(), cout, core.Request{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if v.Check(cout, res.Delay.Add(1)).Final != core.NoViolation {
+		if v.Run(context.Background(), core.Request{Sink: cout, Delta: res.Delay.Add(1)}).Final != core.NoViolation {
 			b.Fatal("δ+1 must be refuted")
 		}
 	}
@@ -73,7 +73,7 @@ func BenchmarkCarrySkip16Exact(b *testing.B) {
 	v := core.NewVerifier(c, core.Default())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := v.ExactFloatingDelay(cout)
+		res, err := v.ExactFloatingDelayCtx(context.Background(), cout, core.Request{})
 		if err != nil || !res.Exact {
 			b.Fatalf("exact delay failed: %v %+v", err, res)
 		}
@@ -149,7 +149,7 @@ func ablationDelta(b *testing.B, c *circuit.Circuit, sinkName string) (circuit.N
 		b.Fatalf("no net %s", sinkName)
 	}
 	v := core.NewVerifier(c, core.Default())
-	res, err := v.ExactFloatingDelay(sink)
+	res, err := v.ExactFloatingDelayCtx(context.Background(), sink, core.Request{})
 	if err != nil || !res.Exact {
 		b.Fatalf("reference delay failed: %v %+v", err, res)
 	}
@@ -163,7 +163,7 @@ func benchAblation(b *testing.B, opts core.Options) {
 	v := core.NewVerifier(c, opts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := v.Check(sink, delta)
+		rep := v.Run(context.Background(), core.Request{Sink: sink, Delta: delta})
 		if rep.Final != core.NoViolation {
 			b.Fatalf("ablated config must still refute exactly, got %s", rep.Final)
 		}
@@ -210,9 +210,9 @@ func BenchmarkAblationStaticDominatorsOnly(b *testing.B) {
 
 // --- E6: Run API overhead -------------------------------------------------
 //
-// The Run path with a nil tracer and no deadline must cost the same as
-// the legacy Check (which is now a wrapper over it): observability that
-// is off must be free. BenchmarkRunObsTracer measures the obs.Tracer tax.
+// The Run path with a nil tracer and no deadline is the baseline:
+// observability that is off must be free. BenchmarkRunObsTracer
+// measures the obs.Tracer tax.
 
 func benchRun(b *testing.B, req core.Request) {
 	c := gen.Hrapcenko(10)
@@ -362,9 +362,9 @@ func BenchmarkFixpointCarrySkip16(b *testing.B) {
 	}
 }
 
-// Scheduler-discipline comparison: FIFO (the paper's event queue) vs
-// alternating topological sweeps, on the NOR-mapped multiplier.
-func benchScheduler(b *testing.B, mode constraint.ScheduleMode) {
+// BenchmarkSchedulerFIFO times the paper's event-driven FIFO fixpoint
+// on the NOR-mapped multiplier.
+func BenchmarkSchedulerFIFO(b *testing.B) {
 	c, err := circuit.MapToNOR(gen.ArrayMultiplier(6, 1), 10)
 	if err != nil {
 		b.Fatal(err)
@@ -373,16 +373,12 @@ func benchScheduler(b *testing.B, mode constraint.ScheduleMode) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys := constraint.New(c)
-		sys.SetScheduleMode(mode)
 		sys.Narrow(po, waveform.CheckOutput(300))
 		sys.ScheduleAll()
 		sys.Fixpoint()
 		b.ReportMetric(float64(sys.Propagations), "propagations/op")
 	}
 }
-
-func BenchmarkSchedulerFIFO(b *testing.B)  { benchScheduler(b, constraint.FIFO) }
-func BenchmarkSchedulerSweep(b *testing.B) { benchScheduler(b, constraint.Sweep) }
 
 func BenchmarkNORMapping(b *testing.B) {
 	c := gen.ArrayMultiplier(8, 1)

@@ -11,11 +11,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
-	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/dom"
 	"repro/internal/gen"
@@ -60,10 +60,11 @@ func main() {
 // stalls at the ambiguous NAND, and the dynamic timing dominators
 // (the block-boundary carries) recover the global implication.
 func renderFig23() {
+	ctx := context.Background()
 	c := gen.CarrySkipAdder(8, 4, 10)
 	cout, _ := c.NetByName("cout")
 	full := core.NewVerifier(c, core.Default())
-	res, err := full.ExactFloatingDelay(cout)
+	res, err := full.ExactFloatingDelayCtx(ctx, cout, core.Request{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		return
@@ -87,16 +88,15 @@ func renderFig23() {
 	still := sys.Fixpoint()
 	fmt.Printf("  Corollary-1 narrowing changed domains: %v; system consistent afterwards: %v\n", changed, still)
 
-	repHigh := full.Check(cout, delta.Add(1))
+	repHigh := full.Run(ctx, core.Request{Sink: cout, Delta: delta.Add(1)})
 	fmt.Printf("  δ=%s: plain %s, after dominators %s, after stems %s, case analysis %s (%d backtracks)\n",
 		delta.Add(1), repHigh.BeforeGITD, repHigh.AfterGITD, repHigh.AfterStem, repHigh.CaseAnalysis, maxI(repHigh.Backtracks, 0))
-	rep := full.Check(cout, delta)
+	rep := full.Run(ctx, core.Request{Sink: cout, Delta: delta})
 	fmt.Printf("  δ=%s: verdict %s", delta, rep.Final)
 	if rep.Final == core.ViolationFound {
 		fmt.Printf(" (witness %s, settle %s)", rep.Witness, rep.WitnessSettle)
 	}
 	fmt.Println()
-	_ = circuit.InvalidNet
 }
 
 func maxI(a, b int) int {

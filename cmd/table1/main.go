@@ -27,8 +27,6 @@ func main() {
 	stats := flag.Bool("stats", false, "print aggregated engine telemetry after the table")
 	hist := flag.Bool("hist", false, "print latency/work distributions (p50/p90/p99 per stage) after the table")
 	pprofLabels := flag.Bool("pprof-labels", false, "tag parallel per-output checks with pprof labels")
-	noCone := flag.Bool("no-cone", false, "solve every check on the whole circuit instead of the sink's fan-in cone")
-	noWarm := flag.Bool("no-warm-start", false, "solve every check cold instead of warm-starting repeat checks of a sink")
 	flag.Parse()
 
 	entries := gen.SubstituteSuite()
@@ -59,12 +57,6 @@ func main() {
 	}
 	if *pprofLabels {
 		opts = append(opts, harness.WithPprofLabels())
-	}
-	if *noCone {
-		opts = append(opts, harness.WithoutConeSlicing())
-	}
-	if *noWarm {
-		opts = append(opts, harness.WithoutWarmStart())
 	}
 	var rows []harness.Table1Row
 	for _, e := range entries {

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,17 +30,18 @@ func main() {
 		log.Fatal(err)
 	}
 
+	ctx := context.Background()
 	v := core.NewVerifier(c, core.Default())
 	z, _ := c.NetByName("z")
 	fmt.Printf("circuit %q: %d gates, topological delay %s\n",
 		c.Name, c.NumGates(), v.Topological())
 
 	// Timing check: can z still change at or after t = 40?
-	rep := v.Check(z, 40)
+	rep := v.Run(ctx, core.Request{Sink: z, Delta: 40})
 	fmt.Printf("check (z, 40): %s\n", rep.Final)
 
 	// Exact floating-mode delay with a witnessing input vector.
-	res, err := v.ExactFloatingDelay(z)
+	res, err := v.ExactFloatingDelayCtx(ctx, z, core.Request{})
 	if err != nil {
 		log.Fatal(err)
 	}

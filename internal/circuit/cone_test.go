@@ -5,7 +5,7 @@ import "testing"
 func TestExtractCone(t *testing.T) {
 	c := buildC17(t, 10)
 	g22, _ := c.NetByName("G22")
-	cone, err := ExtractCone(c, g22)
+	cone, _, err := ExtractConeMapped(c, g22)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestExtractConeDeterministic(t *testing.T) {
 func TestExtractConeOfInput(t *testing.T) {
 	c := buildC17(t, 10)
 	g1, _ := c.NetByName("G1")
-	cone, err := ExtractCone(c, g1)
+	cone, _, err := ExtractConeMapped(c, g1)
 	if err != nil {
 		t.Fatal(err)
 	}

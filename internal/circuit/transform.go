@@ -102,18 +102,6 @@ func MapToNOR(c *Circuit, d int64) (*Circuit, error) {
 	return b.Build()
 }
 
-// ExtractCone returns the transitive fan-in cone of the given net as a
-// standalone circuit: the net becomes the single primary output, the
-// cone's primary inputs are kept, and everything outside the cone is
-// dropped. Timing checks on the cone are equivalent to checks on the
-// original output (the check only constrains the cone), which makes
-// this the standard debugging and speed lever for single-output
-// verification on wide designs.
-func ExtractCone(c *Circuit, sink NetID) (*Circuit, error) {
-	cone, _, err := ExtractConeMapped(c, sink)
-	return cone, err
-}
-
 // ConeMap relates a cone slice produced by ExtractConeMapped to the
 // circuit it was cut from.
 type ConeMap struct {
@@ -133,8 +121,12 @@ type ConeMap struct {
 	Sink NetID
 }
 
-// ExtractConeMapped is ExtractCone returning, in addition, the net-id
-// translation between the cone and the original circuit. The slice
+// ExtractConeMapped returns the transitive fan-in cone of the given net
+// as a standalone circuit, together with the net-id translation between
+// the cone and the original circuit: the net becomes the single primary
+// output, the cone's primary inputs are kept, and everything outside the
+// cone is dropped. Timing checks on the cone are equivalent to checks on
+// the original output (the check only constrains the cone). The slice
 // preserves everything a timing check observes: gate types and both
 // delay bounds (d_max and d_min), primary-input status, topological
 // gate order, and the relative order of net ids.

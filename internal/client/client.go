@@ -232,13 +232,13 @@ func (c *Client) CheckInline(ctx context.Context, req api.Request) (*api.Respons
 	return &out, nil
 }
 
-// Check submits a batch and returns the buffered response.
-//
-// Deprecated: Check now rides the registry — it uploads the request's
-// netlist (idempotent) and checks by hash, so repeated batches against
-// one circuit reuse the server's cached prepared state. Call Upload +
-// CheckByHash directly to control the two steps, or CheckInline for
-// the original single-request protocol.
+// Check submits a batch and returns the buffered response: the
+// supported buffered call. It rides the registry — it uploads the
+// request's netlist (idempotent) and checks by hash, so repeated
+// batches against one circuit reuse the server's cached prepared
+// state, and it re-uploads once if the hash was evicted in between.
+// Call Upload + CheckByHash directly to control the two steps, or
+// CheckInline for the original single-request protocol.
 func (c *Client) Check(ctx context.Context, req api.Request) (*api.Response, error) {
 	hash, err := c.Upload(ctx, req.Netlist, UploadOptions{
 		Format: req.Format, Name: req.Name, DefaultDelay: req.DefaultDelay,

@@ -7,7 +7,6 @@ package constraint
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/circuit"
 	"repro/internal/waveform"
@@ -40,11 +39,9 @@ type System struct {
 	queue   []circuit.GateID
 	qhead   int
 	inQueue []bool
-	mode    ScheduleMode
-	topoPos []int32
 
 	// scratch buffers reused across gate applications (the system is
-	// single-goroutine by design; every Check owns its own System).
+	// single-goroutine by design; every check owns its own System).
 	scrCtrl []waveform.Wave
 	scrNon  []waveform.Wave
 	scrIn   []waveform.Signal
@@ -260,23 +257,6 @@ func (s *System) Narrow(n circuit.NetID, sig waveform.Signal) bool {
 	return true
 }
 
-// ScheduleMode selects the worklist discipline of the fixpoint solver.
-type ScheduleMode int
-
-const (
-	// FIFO processes gate constraints in arrival order — the paper's
-	// event-driven scheduler. Default.
-	FIFO ScheduleMode = iota
-	// Sweep drains the worklist in alternating topological passes
-	// (forward, then backward), which matches how narrowing information
-	// actually flows and can reach the fixpoint in fewer applications
-	// on deep circuits. Same fixpoint either way (it is unique).
-	Sweep
-)
-
-// SetScheduleMode selects the worklist discipline (before solving).
-func (s *System) SetScheduleMode(m ScheduleMode) { s.mode = m }
-
 // Fixpoint applies pending gate constraints until quiescence or
 // inconsistency (the reach_fixpoint procedure of Figure 4). It returns
 // true when the system is still consistent. The fixpoint is the
@@ -287,9 +267,6 @@ func (s *System) Fixpoint() bool {
 	if s.stopped {
 		return !s.inconsistent
 	}
-	if s.mode == Sweep {
-		return s.fixpointSweep()
-	}
 	for s.pending() > 0 && !s.inconsistent {
 		if s.stopFn != nil && s.pollStop() {
 			break
@@ -299,7 +276,15 @@ func (s *System) Fixpoint() bool {
 		s.Propagations++
 		s.applyGate(g)
 	}
-	return s.finishFixpoint()
+	if s.inconsistent {
+		// Drain so a later resume starts clean.
+		for _, g := range s.queue[s.qhead:] {
+			s.inQueue[g] = false
+		}
+		s.queue, s.qhead = s.queue[:0], 0
+		return false
+	}
+	return true
 }
 
 // pollStop runs the stop function every stopPollInterval calls and
@@ -314,63 +299,6 @@ func (s *System) pollStop() bool {
 		s.stopped = true
 	}
 	return s.stopped
-}
-
-// fixpointSweep drains the worklist in alternating topological sweeps.
-func (s *System) fixpointSweep() bool {
-	if s.topoPos == nil {
-		s.topoPos = make([]int32, s.c.NumGates())
-		for i, g := range s.c.TopoGates() {
-			s.topoPos[g] = int32(i)
-		}
-	}
-	forward := true
-	batch := make([]circuit.GateID, 0, s.pending())
-	for s.pending() > 0 && !s.inconsistent {
-		batch = append(batch[:0], s.queue[s.qhead:]...)
-		s.queue, s.qhead = s.queue[:0], 0
-		for _, g := range batch {
-			s.inQueue[g] = false
-		}
-		if forward {
-			sortGatesBy(batch, s.topoPos, false)
-		} else {
-			sortGatesBy(batch, s.topoPos, true)
-		}
-		forward = !forward
-		for _, g := range batch {
-			if s.inconsistent {
-				break
-			}
-			if s.stopFn != nil && s.pollStop() {
-				return s.finishFixpoint()
-			}
-			s.Propagations++
-			s.applyGate(g)
-		}
-	}
-	return s.finishFixpoint()
-}
-
-func (s *System) finishFixpoint() bool {
-	if s.inconsistent {
-		// Drain so a later resume starts clean.
-		for _, g := range s.queue[s.qhead:] {
-			s.inQueue[g] = false
-		}
-		s.queue, s.qhead = s.queue[:0], 0
-		return false
-	}
-	return true
-}
-
-func sortGatesBy(gs []circuit.GateID, pos []int32, desc bool) {
-	sort.Slice(gs, func(i, j int) bool {
-		if desc {
-			return pos[gs[i]] > pos[gs[j]]
-		}
-		return pos[gs[i]] < pos[gs[j]]
-	})
 }
 
 // Mark opens a new decision level; Undo rewinds to the matching mark.

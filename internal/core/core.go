@@ -6,7 +6,6 @@
 package core
 
 import (
-	"context"
 	"slices"
 	"sync"
 	"time"
@@ -112,8 +111,8 @@ type Options struct {
 	// the sliced check verdict-equivalent while the per-check system
 	// shrinks to the sink's own logic on wide multi-output circuits.
 	// Witnesses, traces, and dominator sets are translated back to
-	// original-circuit ids. On by default in Default(); the front ends
-	// expose -no-cone as the escape hatch.
+	// original-circuit ids. On by default in Default(); lttad's
+	// per-request noCone field turns it off.
 	UseConeSlicing bool
 	// UseWarmStart seeds each check's stage-1 solve from the most
 	// recent plain fixpoint recorded for the same sink at a smaller or
@@ -125,8 +124,8 @@ type Options struct {
 	// to a cold solve; only statistics (propagation counts, stage
 	// times) change. Falls back to a cold solve when no seed exists,
 	// δ decreased, UseStaticDominators is on, or another goroutine
-	// holds the sink's memo. On by default in Default(); the front
-	// ends expose -no-warm-start.
+	// holds the sink's memo. On by default in Default(); lttad turns
+	// it off unless a request's warmStart field opts in.
 	UseWarmStart bool
 	// MaxBacktracks bounds the case analysis; beyond it the check is
 	// Abandoned.
@@ -233,27 +232,6 @@ type Report struct {
 	// Stats carries the engine-level telemetry of the check (always
 	// filled; see Stats).
 	Stats Stats
-}
-
-// Check runs the full pipeline of the paper on the timing check
-// (sink, δ): plain fixpoint, dominator implications, stem correlation,
-// then case analysis, stopping as soon as a stage proves NoViolation.
-//
-// Deprecated: Check is a compatibility wrapper over [Verifier.Run],
-// which additionally supports cancellation, deadlines, budgets, and
-// tracing. New code should call Run.
-func (v *Verifier) Check(sink circuit.NetID, delta waveform.Time) *Report {
-	return v.Run(context.Background(), Request{Sink: sink, Delta: delta})
-}
-
-// VerifyOnly runs the verify() procedure of Figure 4 — fixpoint plus
-// dominator implications, no case analysis — and returns NoViolation or
-// PossibleViolation.
-//
-// Deprecated: VerifyOnly is a compatibility wrapper over
-// [Verifier.Run] with Request.VerifyOnly set. New code should call Run.
-func (v *Verifier) VerifyOnly(sink circuit.NetID, delta waveform.Time) Result {
-	return v.Run(context.Background(), Request{Sink: sink, Delta: delta, VerifyOnly: true}).Final
 }
 
 // evaluate is the evaluate() loop of Figure 4 extended with learning:

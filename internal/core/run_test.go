@@ -121,28 +121,30 @@ func TestRunBacktrackBudgetViaRequest(t *testing.T) {
 	}
 }
 
-// TestRunMatchesCheck pins the compatibility wrappers to the Run path:
-// identical verdicts, counters, and witnesses on the Figure-1 circuit.
-// Each arm gets a fresh verifier off the shared Prepared because the
+// TestRunRepeatableAcrossVerifiers pins Run's determinism across
+// verifiers: a verifier with its own precompute and one built off a
+// shared Prepared give identical verdicts, counters, and witnesses on
+// the Figure-1 circuit. Each arm is a fresh verifier because the
 // comparison includes work counters, which warm-start memos (scoped per
 // verifier) legitimately reduce on repeat checks of the same sink.
-func TestRunMatchesCheck(t *testing.T) {
+func TestRunRepeatableAcrossVerifiers(t *testing.T) {
 	c := gen.Hrapcenko(10)
 	s, _ := c.NetByName("s")
 	prep := Prepare(c)
+	ctx := context.Background()
 	for _, delta := range []waveform.Time{61, 60} {
-		direct := prep.NewVerifier(Default()).Run(context.Background(), Request{Sink: s, Delta: delta})
-		wrapped := prep.NewVerifier(Default()).Check(s, delta)
-		if canonicalReport(direct) != canonicalReport(wrapped) {
-			t.Fatalf("δ=%s:\n run:   %s\n check: %s", delta, canonicalReport(direct), canonicalReport(wrapped))
+		own := NewVerifier(c, Default()).Run(ctx, Request{Sink: s, Delta: delta})
+		shared := prep.NewVerifier(Default()).Run(ctx, Request{Sink: s, Delta: delta})
+		if canonicalReport(own) != canonicalReport(shared) {
+			t.Fatalf("δ=%s:\n own:    %s\n shared: %s", delta, canonicalReport(own), canonicalReport(shared))
 		}
 	}
 	v := prep.NewVerifier(Default())
-	if got := v.Run(context.Background(), Request{Sink: s, Delta: 61, VerifyOnly: true}).Final; got != NoViolation {
-		t.Fatalf("VerifyOnly Run(61) = %s", got)
+	if got := v.Run(ctx, Request{Sink: s, Delta: 61, VerifyOnly: true}).Final; got != NoViolation {
+		t.Fatalf("verify-only (s, 61) = %s", got)
 	}
-	if got := v.VerifyOnly(s, 60); got != PossibleViolation {
-		t.Fatalf("VerifyOnly(60) = %s", got)
+	if got := v.Run(ctx, Request{Sink: s, Delta: 60, VerifyOnly: true}).Final; got != PossibleViolation {
+		t.Fatalf("verify-only (s, 60) = %s", got)
 	}
 }
 
@@ -172,7 +174,7 @@ func canonicalCircuit(cr *CircuitReport) string {
 
 // TestRunAllParallelIdenticalToSerial asserts the headline determinism
 // property: Run-based parallel sweeps produce aggregates identical to
-// the serial CheckAll, on both refutation sweeps and witness sweeps
+// a serial RunAll (Workers: 1), on both refutation sweeps and witness sweeps
 // (where sibling cancellation must discard exactly the checks the
 // serial sweep never starts). Run with -race in CI.
 func TestRunAllParallelIdenticalToSerial(t *testing.T) {
@@ -225,7 +227,7 @@ func TestNilTracerEquivalence(t *testing.T) {
 	for _, name := range []string{"c17", "c432", "c880"} {
 		c := suiteCircuit(t, name)
 		prep := Prepare(c)
-		res, err := prep.NewVerifier(Default()).CircuitFloatingDelay()
+		res, err := prep.NewVerifier(Default()).CircuitFloatingDelayCtx(context.Background(), Request{})
 		if err != nil {
 			t.Fatal(err)
 		}

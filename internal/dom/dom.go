@@ -183,12 +183,6 @@ func Static(c *circuit.Circuit, a *delay.Analysis, sink circuit.NetID, delta wav
 	return s.result(delay.ToNet(c, sink))
 }
 
-// StaticCarriers exposes the static carrier mask (Definition 4) for
-// reports and tests.
-func StaticCarriers(c *circuit.Circuit, a *delay.Analysis, sink circuit.NetID, delta waveform.Time) []bool {
-	return delay.StaticCarrierMask(c, a, sink, delta)
-}
-
 // Carriers computes the dynamic carriers of the check and their
 // dynamic distances from the current domains of the constraint system
 // (Definitions 7–8) into s.Mask and s.Dist: a net qualifies through

@@ -115,7 +115,7 @@ func TestStaticCarriersExposed(t *testing.T) {
 	c := mustBuild(t, chain, 10)
 	a := delay.New(c)
 	z := id(t, c, "z")
-	mask := StaticCarriers(c, a, z, 30)
+	mask := delay.StaticCarrierMask(c, a, z, 30)
 	if !mask[id(t, c, "a")] || mask[id(t, c, "b")] {
 		t.Fatal("carrier mask wrong")
 	}

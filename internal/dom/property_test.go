@@ -139,7 +139,7 @@ func TestDynamicCarriersSubsetOfStatic(t *testing.T) {
 		if !sys.Fixpoint() {
 			continue
 		}
-		static := StaticCarriers(c, a, sink, delta)
+		static := delay.StaticCarrierMask(c, a, sink, delta)
 		var sc Scratch
 		sc.Carriers(sys, sink, delta)
 		dynamic := sc.Mask

@@ -51,41 +51,19 @@ func Table1(entries []gen.SuiteEntry, budget int) []Table1Row {
 	return rows
 }
 
-// RowConfig is the engine configuration behind one circuit's rows:
-// the request template shared by every check, and the verifier
-// options. RowOptions mutate it before the verifier is built.
-type RowConfig struct {
-	Req  core.Request
-	Opts core.Options
-}
-
-// RowOption customises the engine configuration used by
-// CircuitRowsParallel (tracing, pprof labels, cone slicing, …).
-type RowOption func(*RowConfig)
+// RowOption customises the request template shared by every check
+// behind CircuitRowsParallel's rows (tracing, pprof labels).
+type RowOption func(*core.Request)
 
 // WithTracer attaches a tracer to every check behind the rows;
 // repeated uses chain (every tracer sees every event).
 func WithTracer(t core.Tracer) RowOption {
-	return func(c *RowConfig) { c.Req.Tracer = core.MultiTracer(c.Req.Tracer, t) }
+	return func(r *core.Request) { r.Tracer = core.MultiTracer(r.Tracer, t) }
 }
 
 // WithPprofLabels tags parallel per-output checks with pprof labels.
 func WithPprofLabels() RowOption {
-	return func(c *RowConfig) { c.Req.PprofLabels = true }
-}
-
-// WithoutConeSlicing solves every check on the whole circuit instead
-// of the sink's fan-in cone (the -no-cone escape hatch).
-func WithoutConeSlicing() RowOption {
-	return func(c *RowConfig) { c.Opts.UseConeSlicing = false }
-}
-
-// WithoutWarmStart solves every check cold instead of seeding repeat
-// checks of a sink from the previous fixpoint snapshot (the
-// -no-warm-start escape hatch; verdicts are identical either way, only
-// the work counters change).
-func WithoutWarmStart() RowOption {
-	return func(c *RowConfig) { c.Opts.UseWarmStart = false }
+	return func(r *core.Request) { r.PprofLabels = true }
 }
 
 // CircuitRows computes the exact circuit floating delay and produces
@@ -101,17 +79,14 @@ func CircuitRows(name string, c *circuit.Circuit, budget int) []Table1Row {
 // optional per-check deadline, and an optional tracer observing every
 // check (both may be nil/zero).
 func CircuitRowsParallel(name string, c *circuit.Circuit, budget, workers int, extras ...RowOption) []Table1Row {
-	cfg := RowConfig{Opts: core.Default(), Req: core.Request{Workers: workers}}
-	cfg.Opts.MaxBacktracks = budget
-	if workers <= 1 {
-		cfg.Req.Workers = 1
-	}
+	opts := core.Default()
+	opts.MaxBacktracks = budget
+	req := core.Request{Workers: max(workers, 1)}
 	for _, o := range extras {
-		o(&cfg)
+		o(&req)
 	}
-	v := core.NewVerifier(c, cfg.Opts)
+	v := core.NewVerifier(c, opts)
 	top := v.Topological()
-	req := cfg.Req
 
 	res, err := v.CircuitFloatingDelayCtx(context.Background(), req)
 	if err != nil {
@@ -223,21 +198,22 @@ type Example2Trace struct {
 
 // Example2 runs the trace on the Hrapcenko circuit with d = 10.
 func Example2() *Example2Trace {
+	ctx := context.Background()
 	c := gen.Hrapcenko(10)
 	s, _ := c.NetByName("s")
 	tr := &Example2Trace{DomainsAt60: map[string]string{}}
 
 	plain := core.NewVerifier(c, core.Options{})
-	tr.RefutedAt61 = plain.Check(s, 61).Final == core.NoViolation
+	tr.RefutedAt61 = plain.Run(ctx, core.Request{Sink: s, Delta: 61}).Final == core.NoViolation
 
 	v := core.NewVerifier(c, core.Default())
 	tr.Top = v.Topological()
-	res, err := v.ExactFloatingDelay(s)
+	res, err := v.ExactFloatingDelayCtx(ctx, s, core.Request{})
 	if err != nil {
 		panic("harness: " + err.Error())
 	}
 	tr.Floating = res.Delay
-	rep := v.Check(s, 60)
+	rep := v.Run(ctx, core.Request{Sink: s, Delta: 60})
 	tr.Witness = rep.Witness
 	tr.WitnessSettle = rep.WitnessSettle
 	tr.BacktracksAt60 = rep.Backtracks
@@ -296,6 +272,7 @@ type CarrySkipExperiment struct {
 
 // CarrySkip runs the adder experiment for the given size.
 func CarrySkip(bits, block int, budget int) *CarrySkipExperiment {
+	ctx := context.Background()
 	start := time.Now()
 	c := gen.CarrySkipAdder(bits, block, 10)
 	cout, _ := c.NetByName("cout")
@@ -304,7 +281,7 @@ func CarrySkip(bits, block int, budget int) *CarrySkipExperiment {
 	v := core.NewVerifier(c, opts)
 	ex := &CarrySkipExperiment{Bits: bits, Block: block, Gates: c.NumGates(), Top: v.Topological()}
 
-	res, err := v.ExactFloatingDelay(cout)
+	res, err := v.ExactFloatingDelayCtx(ctx, cout, core.Request{})
 	if err != nil {
 		panic("harness: " + err.Error())
 	}
@@ -312,7 +289,7 @@ func CarrySkip(bits, block int, budget int) *CarrySkipExperiment {
 	ex.Exact = res.Exact
 	ex.Witness = res.Witness
 
-	repHigh := v.Check(cout, res.Delay.Add(1))
+	repHigh := v.Run(ctx, core.Request{Sink: cout, Delta: res.Delay.Add(1)})
 	ex.RefuteBacktracks = repHigh.Backtracks
 	switch {
 	case repHigh.BeforeGITD == core.NoViolation:
@@ -326,7 +303,7 @@ func CarrySkip(bits, block int, budget int) *CarrySkipExperiment {
 	}
 	ex.DominatorChainLength = repHigh.Dominators
 
-	repLow := v.Check(cout, res.Delay)
+	repLow := v.Run(ctx, core.Request{Sink: cout, Delta: res.Delay})
 	ex.WitnessBacktracks = repLow.Backtracks
 	ex.CPU = time.Since(start)
 	return ex
@@ -349,6 +326,7 @@ type DominatorAnecdote struct {
 // Anecdote runs the dominator anecdote on the c1908 substitute's
 // deepest output.
 func Anecdote() *DominatorAnecdote {
+	ctx := context.Background()
 	start := time.Now()
 	var entry gen.SuiteEntry
 	for _, e := range gen.SubstituteSuite() {
@@ -376,15 +354,15 @@ func Anecdote() *DominatorAnecdote {
 	lo, hi := waveform.Time(0), an.Top
 	for lo < hi {
 		mid := waveform.Midpoint(lo, hi)
-		if withDom.VerifyOnly(deep, mid) == core.NoViolation {
+		if withDom.Run(ctx, core.Request{Sink: deep, Delta: mid, VerifyOnly: true}).Final == core.NoViolation {
 			hi = mid
 		} else {
 			lo = mid.Add(1)
 		}
 	}
 	an.ProvedBound = lo
-	an.WithDomVerdict = withDom.VerifyOnly(deep, lo)
-	an.PlainVerdict = plain.VerifyOnly(deep, lo)
+	an.WithDomVerdict = withDom.Run(ctx, core.Request{Sink: deep, Delta: lo, VerifyOnly: true}).Final
+	an.PlainVerdict = plain.Run(ctx, core.Request{Sink: deep, Delta: lo, VerifyOnly: true}).Final
 
 	sys := core.NewVerifier(c, core.Options{}).SystemAfterFixpoint(deep, lo)
 	doms := dom.Dynamic(sys, deep, lo)

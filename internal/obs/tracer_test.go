@@ -78,7 +78,7 @@ func TestTracerTotalsMatchReports(t *testing.T) {
 			continue
 		}
 		prep := core.Prepare(e.Circuit)
-		res, err := prep.NewVerifier(core.Default()).CircuitFloatingDelay()
+		res, err := prep.NewVerifier(core.Default()).CircuitFloatingDelayCtx(context.Background(), core.Request{})
 		if err != nil {
 			t.Fatal(err)
 		}

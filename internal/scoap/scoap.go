@@ -134,62 +134,3 @@ func minI64(a, b int64) int64 {
 	}
 	return b
 }
-
-// Observability holds SCOAP combinational observability CO for every
-// net: the estimated effort of propagating a value change on the net to
-// some primary output.
-type Observability struct {
-	CO []int64
-}
-
-// ComputeObservability runs the standard reverse-topological CO
-// calculation given the controllabilities. Primary outputs observe at
-// cost 0; a gate input is observed by driving the gate's other inputs
-// to non-controlling values and observing the output. A fanout stem
-// takes the cheapest branch.
-func ComputeObservability(c *circuit.Circuit, cc *Controllability) *Observability {
-	ob := &Observability{CO: make([]int64, c.NumNets())}
-	for i := range ob.CO {
-		ob.CO[i] = Infinity
-	}
-	for _, po := range c.PrimaryOutputs() {
-		ob.CO[po] = 0
-	}
-	topo := c.TopoGates()
-	for i := len(topo) - 1; i >= 0; i-- {
-		g := c.Gate(topo[i])
-		out := ob.CO[g.Output]
-		if out >= Infinity {
-			continue
-		}
-		for _, x := range g.Inputs {
-			cost := addSat(out, 1)
-			switch g.Type {
-			case circuit.AND, circuit.NAND:
-				for _, y := range g.Inputs {
-					if y != x {
-						cost = addSat(cost, cc.CC1[y])
-					}
-				}
-			case circuit.OR, circuit.NOR:
-				for _, y := range g.Inputs {
-					if y != x {
-						cost = addSat(cost, cc.CC0[y])
-					}
-				}
-			case circuit.XOR, circuit.XNOR:
-				// Any side assignment propagates; charge the cheapest
-				// per side input.
-				for _, y := range g.Inputs {
-					if y != x {
-						cost = addSat(cost, minI64(cc.CC0[y], cc.CC1[y]))
-					}
-				}
-			}
-			if cost < ob.CO[x] {
-				ob.CO[x] = cost
-			}
-		}
-	}
-	return ob
-}
